@@ -398,7 +398,8 @@ impl ObjectMemory {
     /// Format of a heap object.
     pub fn format_of(&self, oop: Oop) -> HeapResult<ObjectFormat> {
         let h = self.header0(oop)?;
-        ObjectFormat::from_bits(h >> 24).ok_or(HeapError::InvalidAddress { addr: oop.address() })
+        ObjectFormat::from_bits(h >> 24)
+            .ok_or_else(|| HeapError::InvalidAddress { addr: oop.address() })
     }
 
     /// Element count: pointer slots, bytes, or words depending on format.

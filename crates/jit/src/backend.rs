@@ -27,10 +27,14 @@ fn invert_cc(cc: Cond) -> Cond {
 }
 
 fn phys(v: VReg) -> Result<Reg, CompileError> {
-    v.as_phys().ok_or(CompileError::Backend(format!(
-        "virtual register v{} reached the backend unallocated",
-        v.0
-    )))
+    v.as_phys().ok_or_else(|| {
+        CompileError::Backend(format!("virtual register v{} reached the backend unallocated", v.0))
+    })
+}
+
+/// Encodes one machine instruction onto the end of `bytes`.
+fn emit(isa: Isa, m: MInstr, bytes: &mut Vec<u8>) -> Result<(), CompileError> {
+    encode_instr(m, isa, bytes).map_err(|e| CompileError::Backend(e.to_string()))
 }
 
 fn is_commutative(op: AluOp) -> bool {
@@ -38,33 +42,31 @@ fn is_commutative(op: AluOp) -> bool {
 }
 
 /// Expands one IR ALU op into machine instructions respecting the
-/// ISA's addressing constraints.
+/// ISA's addressing constraints, encoding them onto `out`.
 fn lower_alu(
     isa: Isa,
     op: AluOp,
     dst: Reg,
     a: Reg,
     b: Reg,
-    out: &mut Vec<MInstr>,
+    out: &mut Vec<u8>,
 ) -> Result<(), CompileError> {
     if !isa.two_address() || dst == a {
-        out.push(MInstr::AluReg { op, dst, a: if isa.two_address() { dst } else { a }, b });
-        return Ok(());
+        let a = if isa.two_address() { dst } else { a };
+        return emit(isa, MInstr::AluReg { op, dst, a, b }, out);
     }
     if dst == b {
         if is_commutative(op) {
-            out.push(MInstr::AluReg { op, dst, a: dst, b: a });
-            return Ok(());
+            return emit(isa, MInstr::AluReg { op, dst, a: dst, b: a }, out);
         }
         return Err(CompileError::Backend(format!(
             "two-address {op:?} with dst == b is unencodable on {isa:?}"
         )));
     }
     if !armed(mutops::DROP_TWO_ADDRESS_MOV_FIXUP) {
-        out.push(MInstr::MovReg { dst, src: a });
+        emit(isa, MInstr::MovReg { dst, src: a }, out)?;
     }
-    out.push(MInstr::AluReg { op, dst, a: dst, b });
-    Ok(())
+    emit(isa, MInstr::AluReg { op, dst, a: dst, b }, out)
 }
 
 /// Sizes of control-flow instructions (needed before offsets are
@@ -96,9 +98,20 @@ fn jump_patch_offset(isa: Isa, conditional: bool) -> usize {
     }
 }
 
+/// Typical encoded bytes per IR op: Arm32ish words are a fixed 8
+/// bytes, X86ish instructions 1–7. Presizing the code buffer to this
+/// keeps lowering to one allocation without reserving much past the
+/// code's length (the buffer is what the code cache keeps).
+fn bytes_per_op(isa: Isa) -> usize {
+    match isa {
+        Isa::X86ish => 4,
+        Isa::Arm32ish => 8,
+    }
+}
+
 /// Lowers and encodes an IR sequence for `isa`.
 pub fn lower(ir: &[Ir], isa: Isa) -> Result<Vec<u8>, CompileError> {
-    let mut bytes: Vec<u8> = Vec::new();
+    let mut bytes: Vec<u8> = Vec::with_capacity(ir.len() * bytes_per_op(isa));
     let mut label_pos: Vec<Option<usize>> = Vec::new();
     // (patch byte offset, end-of-instruction offset, label)
     let mut fixups: Vec<(usize, usize, LabelId)> = Vec::new();
@@ -114,54 +127,49 @@ pub fn lower(ir: &[Ir], isa: Isa) -> Result<Vec<u8>, CompileError> {
     };
 
     for op in ir {
-        let mut ms: Vec<MInstr> = Vec::new();
-        match *op {
+        let m = match *op {
             Ir::Label(l) => {
                 note_label(l, Some(bytes.len()), &mut label_pos);
+                continue;
             }
-            Ir::MovImm { dst, imm } => ms.push(MInstr::MovImm { dst: phys(dst)?, imm }),
+            Ir::MovImm { dst, imm } => MInstr::MovImm { dst: phys(dst)?, imm },
             Ir::MovReg { dst, src } => {
                 let (dst, src) = (phys(dst)?, phys(src)?);
-                if dst != src || armed(mutops::DROP_MOV_ELISION) {
-                    ms.push(MInstr::MovReg { dst, src });
+                if dst == src && !armed(mutops::DROP_MOV_ELISION) {
+                    continue;
                 }
+                MInstr::MovReg { dst, src }
             }
-            Ir::Load { dst, base, off } => {
-                ms.push(MInstr::Load { dst: phys(dst)?, base: phys(base)?, off })
-            }
+            Ir::Load { dst, base, off } => MInstr::Load { dst: phys(dst)?, base: phys(base)?, off },
             Ir::Store { src, base, off } => {
-                ms.push(MInstr::Store { src: phys(src)?, base: phys(base)?, off })
+                MInstr::Store { src: phys(src)?, base: phys(base)?, off }
             }
-            Ir::Push { src } => ms.push(MInstr::Push { src: phys(src)? }),
-            Ir::Pop { dst } => ms.push(MInstr::PopR { dst: phys(dst)? }),
+            Ir::Push { src } => MInstr::Push { src: phys(src)? },
+            Ir::Pop { dst } => MInstr::PopR { dst: phys(dst)? },
             Ir::Alu { op, dst, a, b } => {
-                lower_alu(isa, op, phys(dst)?, phys(a)?, phys(b)?, &mut ms)?
+                lower_alu(isa, op, phys(dst)?, phys(a)?, phys(b)?, &mut bytes)?;
+                continue;
             }
             Ir::AluImm { op, dst, a, imm } => {
                 let (dst, a) = (phys(dst)?, phys(a)?);
                 if isa.two_address() && dst != a {
                     if !armed(mutops::DROP_ALUIMM_MOV_FIXUP) {
-                        ms.push(MInstr::MovReg { dst, src: a });
+                        emit(isa, MInstr::MovReg { dst, src: a }, &mut bytes)?;
                     }
-                    ms.push(MInstr::AluImm { op, dst, a: dst, imm });
+                    MInstr::AluImm { op, dst, a: dst, imm }
                 } else {
-                    ms.push(MInstr::AluImm {
-                        op,
-                        dst,
-                        a: if isa.two_address() { dst } else { a },
-                        imm,
-                    });
+                    MInstr::AluImm { op, dst, a: if isa.two_address() { dst } else { a }, imm }
                 }
             }
-            Ir::Cmp { a, b } => ms.push(MInstr::Cmp { a: phys(a)?, b: phys(b)? }),
-            Ir::CmpImm { a, imm } => ms.push(MInstr::CmpImm { a: phys(a)?, imm }),
+            Ir::Cmp { a, b } => MInstr::Cmp { a: phys(a)?, b: phys(b)? },
+            Ir::CmpImm { a, imm } => MInstr::CmpImm { a: phys(a)?, imm },
             Ir::Jump(l) => {
                 let len = jump_len(isa, false);
                 let patch = bytes.len() + jump_patch_offset(isa, false);
                 let end = bytes.len() + len;
                 fixups.push((patch, end, l));
                 note_label(l, None, &mut label_pos);
-                ms.push(MInstr::Jmp { off: 0 });
+                MInstr::Jmp { off: 0 }
             }
             Ir::JumpCc(cc, l) => {
                 let len = jump_len(isa, true);
@@ -170,38 +178,31 @@ pub fn lower(ir: &[Ir], isa: Isa) -> Result<Vec<u8>, CompileError> {
                 fixups.push((patch, end, l));
                 note_label(l, None, &mut label_pos);
                 let cc = if armed(mutops::INVERT_JCC) { invert_cc(cc) } else { cc };
-                ms.push(MInstr::JmpCc { cc, off: 0 });
+                MInstr::JmpCc { cc, off: 0 }
             }
             Ir::Send { selector_id } => {
-                ms.push(MInstr::CallTramp { kind: TrampolineKind::Send, payload: selector_id })
+                MInstr::CallTramp { kind: TrampolineKind::Send, payload: selector_id }
             }
-            Ir::AllocFloat { dst } => ms.push(MInstr::CallTramp {
+            Ir::AllocFloat { dst } => MInstr::CallTramp {
                 kind: TrampolineKind::AllocFloat,
                 payload: u32::from(phys(dst)?.0),
-            }),
+            },
             Ir::AllocObject { reg, class, format } => {
                 let payload =
                     u32::from(phys(reg)?.0) | ((class & 0xfff) << 8) | ((format & 0xf) << 20);
-                ms.push(MInstr::CallTramp { kind: TrampolineKind::AllocObject, payload })
+                MInstr::CallTramp { kind: TrampolineKind::AllocObject, payload }
             }
-            Ir::Ret => ms.push(MInstr::Ret),
-            Ir::Stop(code) => ms.push(MInstr::Brk { code }),
-            Ir::FLoad { fd, base, off } => {
-                ms.push(MInstr::FLoad { fd, base: phys(base)?, off })
-            }
-            Ir::FAlu { op, fd, fa, fb } => ms.push(MInstr::FAlu { op, fd, fa, fb }),
-            Ir::FCmp { fa, fb } => ms.push(MInstr::FCmp { fa, fb }),
-            Ir::FToIntChecked { dst, fs } => {
-                ms.push(MInstr::FToIntChecked { dst: phys(dst)?, fs })
-            }
-            Ir::FExponent { dst, fs } => ms.push(MInstr::FExponent { dst: phys(dst)?, fs }),
-            Ir::IntToF { fd, src } => ms.push(MInstr::IntToF { fd, src: phys(src)? }),
-            Ir::Nop => ms.push(MInstr::Nop),
-        }
-        for m in ms {
-            encode_instr(m, isa, &mut bytes)
-                .map_err(|e| CompileError::Backend(e.to_string()))?;
-        }
+            Ir::Ret => MInstr::Ret,
+            Ir::Stop(code) => MInstr::Brk { code },
+            Ir::FLoad { fd, base, off } => MInstr::FLoad { fd, base: phys(base)?, off },
+            Ir::FAlu { op, fd, fa, fb } => MInstr::FAlu { op, fd, fa, fb },
+            Ir::FCmp { fa, fb } => MInstr::FCmp { fa, fb },
+            Ir::FToIntChecked { dst, fs } => MInstr::FToIntChecked { dst: phys(dst)?, fs },
+            Ir::FExponent { dst, fs } => MInstr::FExponent { dst: phys(dst)?, fs },
+            Ir::IntToF { fd, src } => MInstr::IntToF { fd, src: phys(src)? },
+            Ir::Nop => MInstr::Nop,
+        };
+        emit(isa, m, &mut bytes)?;
     }
 
     for (patch, end, label) in fixups {

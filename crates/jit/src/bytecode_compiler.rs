@@ -20,7 +20,7 @@ use igjit_machine::{AluOp, Cond, Isa, Reg};
 use igjit_mutate::{armed, ops as mutops};
 
 use crate::backend::lower;
-use crate::convention::Convention;
+use crate::convention::{Convention, RegStack};
 use crate::ir::{Ir, LabelId, VReg, MUST_BE_BOOLEAN_SELECTOR};
 use crate::regalloc::{allocate, SPILL_BYTES};
 use crate::{stops, CompileError, CompiledCode};
@@ -130,7 +130,7 @@ struct Gen<'a> {
     ir: Vec<Ir>,
     next_label: u16,
     next_vreg: u16,
-    free_regs: Vec<Reg>,
+    free_regs: RegStack,
     sim: Vec<Entry>,
     taken_label: Option<LabelId>,
 }
@@ -164,7 +164,7 @@ impl<'a> Gen<'a> {
             next_vreg: VReg::FIRST_VIRTUAL,
             // The scratch register (R4) is reserved for transients and
             // excluded from the parse-stack pool.
-            free_regs: vec![Reg(5), Reg(3), Reg(2), Reg(1)],
+            free_regs: RegStack::from_slice(&[Reg(5), Reg(3), Reg(2), Reg(1)]),
             sim: Vec::new(),
             taken_label: None,
         }
@@ -206,7 +206,7 @@ impl<'a> Gen<'a> {
                 .sim
                 .iter()
                 .any(|e| matches!(e, Entry::R(v) if v.as_phys() == Some(r)));
-            if !live && !self.free_regs.contains(&r) {
+            if !live && !self.free_regs.contains(r) {
                 self.free_regs.push(r);
             }
         }
@@ -238,7 +238,7 @@ impl<'a> Gen<'a> {
                 Entry::R(v) => {
                     self.ir.push(Ir::Push { src: v });
                     if let Some(r) = v.as_phys() {
-                        if !self.free_regs.contains(&r) && r.0 >= 1 && r.0 <= 5 {
+                        if !self.free_regs.contains(r) && r.0 >= 1 && r.0 <= 5 {
                             self.free_regs.push(r);
                         }
                     }

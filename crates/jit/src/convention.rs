@@ -55,19 +55,23 @@ impl Convention {
 
     /// Registers the linear-scan allocator may hand out on this ISA
     /// (disjoint from the fixed-role registers above).
-    pub fn allocatable(isa: Isa) -> Vec<Reg> {
-        let mut pool = match isa {
-            // x86ish has no free registers beyond the fixed roles; the
-            // allocator reuses the scratch pair.
-            Isa::X86ish => vec![Reg(4), Reg(5)],
-            Isa::Arm32ish => {
-                vec![Reg(4), Reg(5), Reg(6), Reg(7), Reg(8), Reg(9), Reg(10), Reg(12)]
-            }
+    pub fn allocatable(isa: Isa) -> &'static [Reg] {
+        // Each pool leads with the receiver so the
+        // `allocatable-includes-receiver` mutation is a wider slice.
+        // x86ish has no free registers beyond the fixed roles; the
+        // allocator reuses the scratch pair.
+        static X86: [Reg; 3] = [Reg(0), Reg(4), Reg(5)];
+        static ARM: [Reg; 9] =
+            [Reg(0), Reg(4), Reg(5), Reg(6), Reg(7), Reg(8), Reg(9), Reg(10), Reg(12)];
+        let pool: &'static [Reg] = match isa {
+            Isa::X86ish => &X86,
+            Isa::Arm32ish => &ARM,
         };
         if armed(mutops::ALLOCATABLE_INCLUDES_RECEIVER) {
-            pool.insert(0, Reg(0));
+            pool
+        } else {
+            &pool[1..]
         }
-        pool
     }
 
     /// The argument register for argument index `i` (0-based).
@@ -77,6 +81,47 @@ impl Convention {
             1 => self.arg1,
             _ => self.arg2,
         }
+    }
+}
+
+/// A fixed-capacity stack of registers: the register pools the
+/// parse-stack front-end and the linear-scan allocator pop from and
+/// return to, kept off the heap.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RegStack {
+    regs: [Reg; RegStack::CAPACITY],
+    len: usize,
+}
+
+impl RegStack {
+    /// One slot per Arm32ish register, the larger register file.
+    const CAPACITY: usize = 16;
+
+    /// A stack holding `regs`, the last on top.
+    pub(crate) fn from_slice(regs: &[Reg]) -> RegStack {
+        let mut s = RegStack { regs: [Reg(0); RegStack::CAPACITY], len: 0 };
+        for &r in regs {
+            s.push(r);
+        }
+        s
+    }
+
+    pub(crate) fn push(&mut self, r: Reg) {
+        self.regs[self.len] = r;
+        self.len += 1;
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<Reg> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.regs[self.len])
+    }
+
+    pub(crate) fn contains(&self, r: Reg) -> bool {
+        self.regs[..self.len].contains(&r)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -99,7 +144,7 @@ mod tests {
     fn allocatable_regs_are_in_range() {
         for isa in [Isa::X86ish, Isa::Arm32ish] {
             let c = Convention::for_isa(isa);
-            for r in Convention::allocatable(isa) {
+            for &r in Convention::allocatable(isa) {
                 assert!(r.0 < isa.reg_count());
                 assert_ne!(r, c.fp);
                 assert_ne!(r, c.sp);

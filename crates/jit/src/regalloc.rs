@@ -8,12 +8,10 @@
 //! aggressively; Arm32ish rarely spills — a faithful echo of the
 //! register-pressure asymmetry between the paper's two back-ends.
 
-use std::collections::HashMap;
-
 use igjit_machine::{Isa, Reg};
 use igjit_mutate::{armed, ops as mutops};
 
-use crate::convention::Convention;
+use crate::convention::{Convention, RegStack};
 use crate::ir::{Ir, VReg};
 use crate::CompileError;
 
@@ -28,32 +26,65 @@ enum Loc {
     Slot(u32),
 }
 
+/// Dense table index of a virtual register; `None` when precolored.
+fn dense(v: VReg) -> Option<usize> {
+    v.0.checked_sub(VReg::FIRST_VIRTUAL).map(usize::from)
+}
+
+/// Virtual registers rewritten to transient temps within one op: at
+/// most two spilled uses plus the def.
+struct TempMap {
+    entries: [(VReg, VReg); 3],
+    len: usize,
+}
+
+impl TempMap {
+    fn new() -> TempMap {
+        TempMap { entries: [(VReg(0), VReg(0)); 3], len: 0 }
+    }
+
+    fn get(&self, v: VReg) -> Option<VReg> {
+        self.entries[..self.len].iter().find(|e| e.0 == v).map(|e| e.1)
+    }
+
+    fn insert(&mut self, v: VReg, t: VReg) {
+        self.entries[self.len] = (v, t);
+        self.len += 1;
+    }
+}
+
 /// Rewrites `ir` so that no virtual registers remain.
 ///
 /// `ntemps` positions the spill area: spill slot `i` lives at
 /// `FP - 4*(ntemps + i + 1)`.
 pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileError> {
-    // Live intervals (first position, last position) per virtual reg.
-    let mut intervals: HashMap<VReg, (usize, usize)> = HashMap::new();
+    // Live intervals (first position, last position), indexed by
+    // `vreg - FIRST_VIRTUAL`; `None` for ids the IR never mentions.
+    let mut intervals: Vec<Option<(usize, usize)>> = Vec::new();
+    let mut regs = Vec::with_capacity(3);
     for (pos, op) in ir.iter().enumerate() {
-        let mut regs = Vec::new();
+        regs.clear();
         op.uses(&mut regs);
-        if let Some(d) = op.def() {
-            regs.push(d);
-        }
-        for r in regs {
-            if r.is_virtual() {
-                let e = intervals.entry(r).or_insert((pos, pos));
-                e.1 = pos;
+        regs.extend(op.def());
+        for i in regs.iter().filter_map(|&r| dense(r)) {
+            if intervals.len() <= i {
+                intervals.resize(i + 1, None);
             }
+            intervals[i].get_or_insert((pos, pos)).1 = pos;
         }
     }
-    let mut order: Vec<(VReg, (usize, usize))> = intervals.into_iter().collect();
-    order.sort_by_key(|&(v, (start, _))| (start, v));
+    // Allocation order: (start, vreg), a total order.
+    let mut order: Vec<(usize, usize, usize)> = intervals
+        .iter()
+        .enumerate()
+        .filter_map(|(i, iv)| iv.map(|(start, end)| (start, i, end)))
+        .collect();
+    order.sort_unstable();
 
-    let mut pool = Convention::allocatable(isa);
     // Reserve the last pool register as the spill temp.
-    let spill_temp = pool.pop().ok_or(CompileError::Backend("no registers".into()))?;
+    let (&spill_temp, pool) = Convention::allocatable(isa)
+        .split_last()
+        .ok_or_else(|| CompileError::Backend("no registers".into()))?;
     // A second transient temp for ops with two spilled uses.
     let spill_temp2 = if armed(mutops::SPILL_TEMP_ALIASES_ARG0) {
         Convention::for_isa(isa).arg0
@@ -61,9 +92,10 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
         Convention::for_isa(isa).arg2
     };
 
-    let mut assignment: HashMap<VReg, Loc> = HashMap::new();
-    let mut active: Vec<(usize, VReg, Reg)> = Vec::new(); // (end, vreg, reg)
-    let mut free = pool.clone();
+    let mut assignment: Vec<Option<Loc>> = vec![None; intervals.len()];
+    // (end, dense vreg index, reg)
+    let mut active: Vec<(usize, usize, Reg)> = Vec::with_capacity(pool.len());
+    let mut free = RegStack::from_slice(pool);
     let mut next_slot: u32 = 0;
     let take_slot = |next_slot: &mut u32| -> Result<u32, CompileError> {
         let s = *next_slot;
@@ -74,7 +106,7 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
         Ok(s)
     };
 
-    for (vreg, (start, end)) in order {
+    for (start, vreg, end) in order {
         let expire_early = armed(mutops::EXPIRE_ACTIVE_EARLY);
         active.retain(|&(aend, _, reg)| {
             if aend < start || (expire_early && aend == start) {
@@ -85,7 +117,7 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
             }
         });
         if let Some(reg) = free.pop() {
-            assignment.insert(vreg, Loc::Reg(reg));
+            assignment[vreg] = Some(Loc::Reg(reg));
             active.push((end, vreg, reg));
         } else if let Some(victim_idx) = active
             .iter()
@@ -97,14 +129,15 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
             // Steal the register from the interval that ends last.
             let (_, victim, reg) = active.remove(victim_idx);
             let slot = take_slot(&mut next_slot)?;
-            assignment.insert(victim, Loc::Slot(slot));
-            assignment.insert(vreg, Loc::Reg(reg));
+            assignment[victim] = Some(Loc::Slot(slot));
+            assignment[vreg] = Some(Loc::Reg(reg));
             active.push((end, vreg, reg));
         } else {
             let slot = take_slot(&mut next_slot)?;
-            assignment.insert(vreg, Loc::Slot(slot));
+            assignment[vreg] = Some(Loc::Slot(slot));
         }
     }
+    let location = |v: VReg| dense(v).and_then(|i| assignment[i]);
 
     let fp = VReg::phys(Convention::for_isa(isa).fp);
     let stride: u32 = if armed(mutops::SPILL_STRIDE_WIDENED) { 8 } else { 4 };
@@ -114,17 +147,18 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
 
     // Rewrite pass.
     let mut out: Vec<Ir> = Vec::with_capacity(ir.len() * 2);
+    let temps = [VReg::phys(spill_temp), VReg::phys(spill_temp2)];
+    let mut uses = Vec::with_capacity(2);
     for op in ir {
-        let mut uses = Vec::new();
+        uses.clear();
         op.uses(&mut uses);
         let def = op.def();
         // Map each distinct spilled use to a transient temp.
-        let mut temp_map: HashMap<VReg, VReg> = HashMap::new();
-        let temps = [VReg::phys(spill_temp), VReg::phys(spill_temp2)];
+        let mut temp_map = TempMap::new();
         let mut next_temp = 0;
-        for u in uses.iter().filter(|u| u.is_virtual()) {
-            if let Some(Loc::Slot(slot)) = assignment.get(u) {
-                if temp_map.contains_key(u) {
+        for &u in &uses {
+            if let Some(Loc::Slot(slot)) = location(u) {
+                if temp_map.get(u).is_some() {
                     continue;
                 }
                 if next_temp >= temps.len() {
@@ -135,33 +169,29 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
                 let t = temps[next_temp];
                 next_temp += 1;
                 if !armed(mutops::DROP_SPILL_RELOAD) {
-                    out.push(Ir::Load { dst: t, base: fp, off: slot_off(*slot) });
+                    out.push(Ir::Load { dst: t, base: fp, off: slot_off(slot) });
                 }
-                temp_map.insert(*u, t);
+                temp_map.insert(u, t);
             }
         }
         // If the def is spilled, compute into the spill temp (reusing
         // a use temp when def == use keeps two-address forms legal).
-        let def_store = match def {
-            Some(d) if d.is_virtual() => match assignment.get(&d) {
-                Some(Loc::Slot(slot)) => {
-                    let t = *temp_map.get(&d).unwrap_or(&temps[0]);
-                    temp_map.insert(d, t);
-                    Some((t, *slot))
-                }
-                _ => None,
-            },
+        let def_store = match def.map(|d| (d, location(d))) {
+            Some((d, Some(Loc::Slot(slot)))) => {
+                let t = temp_map.get(d).unwrap_or_else(|| {
+                    temp_map.insert(d, temps[0]);
+                    temps[0]
+                });
+                Some((t, slot))
+            }
             _ => None,
         };
         let rewrite = |v: VReg| -> VReg {
-            if !v.is_virtual() {
-                return v;
+            if let Some(t) = temp_map.get(v) {
+                return t;
             }
-            if let Some(t) = temp_map.get(&v) {
-                return *t;
-            }
-            match assignment.get(&v) {
-                Some(Loc::Reg(r)) => VReg::phys(*r),
+            match location(v) {
+                Some(Loc::Reg(r)) => VReg::phys(r),
                 _ => v,
             }
         };

@@ -7,6 +7,9 @@
 //! invalidates exactly the corpus sections whose results could have
 //! changed — and nothing else. `igjit-corpus` has a test that walks
 //! this directory and fails if `SRC_FILES` goes stale.
+//!
+//! Any new `crates/jit/src` file must join `SRC_FILES` (and
+//! `SRC_BYTES`), or edits to it would not invalidate the corpus.
 
 /// Every source file baked into [`SOURCE_FINGERPRINT`], sorted,
 /// relative to `src/`.
