@@ -19,7 +19,11 @@
 #     cold run serves none;
 #   * warm payoff — the warm wall clock beats the cold one by at least
 #     `warm_speedup_min` from ci/perf_expectations.json;
-#   * totals — every run matches the committed Table 2 expectations.
+#   * totals — every run matches the committed Table 2 expectations;
+#   * canonical encoding — the cold run's save reports
+#     `corpus: N bytes written` and the warm run's re-save of the same
+#     content reports `corpus: unchanged` (a section sort that is not
+#     canonical would rewrite the file).
 #
 # Usage: ci/corpus_smoke_check.sh [--release]
 set -euo pipefail
@@ -37,11 +41,15 @@ trap 'rm -rf "$scratch"' EXIT
 
 # The harness writes table2.metrics.json and appends BENCH_table2.json
 # in its cwd, so running from the scratch dir keeps the repo's own
-# bench history out of this check (and vice versa).
+# bench history out of this check (and vice versa). Stdout goes to
+# $out, stderr to $out with .err for .out (and is echoed).
 run_table2() {
     local out="$1"
     shift
-    (cd "$scratch" && "$@" > "$out" )
+    local status=0
+    (cd "$scratch" && "$@" > "$out" 2> "${out%.out}.err") || status=$?
+    cat "$scratch/${out%.out}.err" >&2
+    return $status
 }
 
 table2=(cargo run --quiet "${profile[@]}" --manifest-path "$ci_dir/../Cargo.toml" \
@@ -69,6 +77,19 @@ for other in cold warm jobs; do
     fi
 done
 echo "corpus-smoke: all four runs print identical Table 2 rows"
+
+# Canonical encoding: the cold run writes the corpus, the warm run's
+# re-save of the same content must find the file unchanged. Progress
+# lines on stderr use \r, so match anywhere on a line.
+if ! grep -Eq "corpus: [0-9]+ bytes written" "$scratch/cold.err"; then
+    echo "corpus-smoke: cold run did not report 'corpus: N bytes written'" >&2
+    exit 1
+fi
+if ! grep -q "corpus: unchanged" "$scratch/warm.err"; then
+    echo "corpus-smoke: warm re-save rewrote the corpus (encoding not canonical)" >&2
+    exit 1
+fi
+echo "corpus-smoke: cold run wrote the corpus, warm re-save left it unchanged"
 
 python3 - "$scratch/BENCH_table2.json" "$expect" <<'PY'
 import json

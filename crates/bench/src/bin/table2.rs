@@ -209,7 +209,7 @@ fn run_worker_shard(
     }
     let shard = igjit_corpus::Corpus { outcomes, ..igjit_corpus::Corpus::default() };
     let fps = igjit_corpus::fingerprints(config.probes, &config.isas);
-    igjit_corpus::save(out, &shard, &fps)
+    igjit_corpus::save(out, &igjit_corpus::encode(&shard, &fps))
         .map(|_| ())
         .map_err(|e| format!("{}: {e}", out.display()))
 }

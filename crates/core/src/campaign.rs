@@ -615,24 +615,25 @@ impl Campaign {
     pub fn save_corpus(&self) -> Option<std::io::Result<igjit_corpus::SaveOutcome>> {
         let state = self.corpus.as_ref()?;
         let (path, fps, _) = state.file.as_ref()?;
-        let explorations = self
-            .cache
-            .snapshot()
-            .into_iter()
-            .map(|(k, v)| (k, (*v).clone()))
-            .collect();
-        let code = self.code_cache.snapshot();
-        let mut merged = state.loaded.clone();
-        {
-            let recorded = state.recorded.lock().unwrap_or_else(|e| e.into_inner());
-            merged.extend(recorded.iter().map(|(k, v)| (*k, v.clone())));
+        // Encoded straight from the live caches: no value is cloned.
+        let mut enc = igjit_corpus::CorpusEncoder::default();
+        for (key, exploration) in &self.cache.snapshot() {
+            enc.explorations.push(key, exploration);
         }
-        let corpus = igjit_corpus::Corpus {
-            explorations,
-            code,
-            outcomes: merged.into_iter().collect(),
-        };
-        Some(igjit_corpus::save(path, &corpus, fps))
+        self.code_cache.for_each_entry(|key, entry| enc.code.push(key, entry.artifact()));
+        {
+            // A recorded outcome supersedes a loaded one for its key.
+            let recorded = state.recorded.lock().unwrap_or_else(|e| e.into_inner());
+            for (key, outcome) in &state.loaded {
+                if !recorded.contains_key(key) {
+                    enc.outcomes.push(key, outcome);
+                }
+            }
+            for (key, outcome) in recorded.iter() {
+                enc.outcomes.push(key, outcome);
+            }
+        }
+        Some(igjit_corpus::save(path, &enc.seal(fps)))
     }
 
     /// Registers a progress callback, invoked from worker threads

@@ -36,6 +36,7 @@ pub mod fingerprint;
 pub mod wire;
 
 pub use codec::{from_bytes, to_bytes, Wire};
-pub use file::{load, save, Corpus, ExplorationKey, LoadStats, OutcomeKey, SaveOutcome};
+pub use file::{encode, load, save, Corpus, CorpusEncoder, CorpusImage, ExplorationKey, LoadStats,
+               OutcomeKey, SaveOutcome};
 pub use fingerprint::{fingerprints, Fingerprints};
 pub use wire::{Decoder, Encoder, WireError};

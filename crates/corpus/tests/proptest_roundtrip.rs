@@ -1,9 +1,11 @@
 //! Property tests of the corpus wire format: randomized domain values
 //! must survive an encode/decode round trip bit-for-bit, and random
 //! corruption of a whole corpus file must degrade (cold sections,
-//! warnings) without ever panicking or inventing entries.
+//! warnings) without ever panicking or inventing entries, and must
+//! never go unreported when it changes what the file decodes to.
 
-use igjit_corpus::{from_bytes, to_bytes, Fingerprints};
+use igjit_corpus::file::{decode, encode};
+use igjit_corpus::{from_bytes, to_bytes, Fingerprints, LoadStats};
 use igjit_solver::{Assignment, CmpOp, Constraint, Kind, LinExpr, Model, VarId};
 use proptest::prelude::*;
 
@@ -105,29 +107,38 @@ fn sample_corpus_bytes(fp: &Fingerprints) -> Vec<u8> {
         )],
         ..igjit_corpus::Corpus::default()
     };
-    igjit_corpus::file::encode(&corpus, fp)
+    encode(&corpus, fp).to_vec()
+}
+
+/// Whether a decode reported an anomaly: a cold file, a stale
+/// section or a warning.
+fn reported(stats: &LoadStats) -> bool {
+    stats.cold || stats.stale_sections > 0 || !stats.warnings.is_empty()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Any single-byte flip anywhere in the file decodes without a
-    /// panic, and never yields *more* entries than the pristine file.
+    /// Any single-bit flip anywhere in the file decodes without a
+    /// panic, never yields *more* entries than the pristine file, and
+    /// either decodes to the pristine content or is reported: a flip
+    /// in a payload is caught by the checksum (warning), in a
+    /// fingerprint by staleness, in the file header by a cold load.
     #[test]
     fn prop_flipped_byte_degrades_gracefully(pos in any::<u32>(), bit in 0u8..8) {
         let fp = igjit_corpus::fingerprints(false, &[igjit_machine::Isa::X86ish]);
-        let mut bytes = sample_corpus_bytes(&fp);
+        let pristine = sample_corpus_bytes(&fp);
+        let mut bytes = pristine.clone();
         let pos = pos as usize % bytes.len();
         bytes[pos] ^= 1 << bit;
-        let (corpus, stats) = igjit_corpus::file::decode(&bytes, &fp);
+        let (corpus, stats) = decode(&bytes, &fp);
         prop_assert!(corpus.explorations.len() <= 1);
         prop_assert!(corpus.code.is_empty());
         prop_assert!(corpus.outcomes.is_empty());
-        // A flip that lands in a payload must be caught by the
-        // checksum (warning) or the fingerprint (stale section); a
-        // flip in the header may cold the whole file. All of those
-        // surface in stats rather than panicking.
-        let _ = (stats.cold, stats.stale_sections, stats.warnings.len());
+        prop_assert!(
+            reported(&stats) || encode(&corpus, &fp).to_vec() == pristine,
+            "flip of byte {} bit {} went unreported and changed the content", pos, bit
+        );
     }
 
     /// Any truncation decodes without a panic and without inventing
@@ -137,8 +148,52 @@ proptest! {
         let fp = igjit_corpus::fingerprints(false, &[igjit_machine::Isa::X86ish]);
         let bytes = sample_corpus_bytes(&fp);
         let cut = cut as usize % bytes.len();
-        let (corpus, _stats) = igjit_corpus::file::decode(&bytes[..cut], &fp);
+        let (corpus, _stats) = decode(&bytes[..cut], &fp);
         prop_assert!(corpus.explorations.len() <= 1);
         prop_assert!(corpus.outcomes.is_empty());
+    }
+}
+
+/// Every bit of the file header and of each section header, flipped
+/// one at a time, is reported; so is every flip on a fixed stride
+/// through each payload, and each of those by the section checksum.
+#[test]
+fn every_header_flip_and_strided_payload_flip_is_reported() {
+    const STRIDE: usize = 13;
+    let fp = igjit_corpus::fingerprints(false, &[igjit_machine::Isa::X86ish]);
+    let pristine = sample_corpus_bytes(&fp);
+    let (_, stats) = decode(&pristine, &fp);
+    assert!(!reported(&stats), "the pristine sample must load clean: {stats:?}");
+
+    let mut headers: Vec<usize> = (0..7).collect();
+    let mut payloads: Vec<usize> = Vec::new();
+    let mut pos = 7;
+    for _ in 0..pristine[6] {
+        let len = u64::from_le_bytes(pristine[pos + 9..pos + 17].try_into().unwrap()) as usize;
+        headers.extend(pos..pos + 25);
+        payloads.extend((pos + 25..pos + 25 + len).step_by(STRIDE));
+        pos += 25 + len;
+    }
+    assert_eq!(pos, pristine.len());
+    assert!(payloads.len() > 100, "the stride must sample the payloads");
+
+    let flip = |at: usize, bit: usize| {
+        let mut bytes = pristine.clone();
+        bytes[at] ^= 1 << bit;
+        decode(&bytes, &fp).1
+    };
+    for &at in &headers {
+        for bit in 0..8 {
+            let stats = flip(at, bit);
+            assert!(reported(&stats), "header flip of byte {at} bit {bit} went unreported");
+        }
+    }
+    for (i, &at) in payloads.iter().enumerate() {
+        let bit = i % 8;
+        let stats = flip(at, bit);
+        assert!(
+            stats.warnings.iter().any(|w| w.contains("failed its checksum")),
+            "payload flip of byte {at} bit {bit} escaped the checksum: {stats:?}"
+        );
     }
 }

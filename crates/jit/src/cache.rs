@@ -545,17 +545,18 @@ impl CodeCache {
         bucket.push((key, Arc::new(CacheEntry::new(artifact))));
     }
 
-    /// All stored (key, artifact) pairs, for corpus write-back. Order
-    /// is unspecified (the corpus encoder canonicalizes by key); the
-    /// lazily-built predecoded views are not part of the snapshot —
-    /// they are derived data, rebuilt on demand after a reload.
-    pub fn snapshot(&self) -> Vec<(CompileKey, Result<CompiledCode, CompileError>)> {
-        self.map
-            .read()
-            .expect("code cache poisoned")
-            .values()
-            .flat_map(|bucket| bucket.iter().map(|(k, e)| (k.clone(), e.artifact().clone())))
-            .collect()
+    /// Visits every stored (key, entry) pair in place, for corpus
+    /// write-back: nothing is cloned, and the cache's read lock is held
+    /// for the whole visit (compiles that miss wait until it ends).
+    /// Order is unspecified (the corpus encoder canonicalizes by key);
+    /// the persisted part of an entry is its [`CacheEntry::artifact`] —
+    /// the predecoded view is derived data, rebuilt on demand after a
+    /// reload.
+    pub fn for_each_entry(&self, mut visit: impl FnMut(&CompileKey, &CacheEntry)) {
+        let map = self.map.read().expect("code cache poisoned");
+        for (key, entry) in map.values().flatten() {
+            visit(key, entry);
+        }
     }
 
     /// Distinct artifacts currently stored.
