@@ -15,9 +15,24 @@
 #     Table 2 totals drifting from the expected rows means real
 #     defects were gained/lost while every mutant was disarmed.
 #
-# Usage: ci/mutation_smoke_check.sh [BENCH_mutation.json]
+# With `--full`, the last record must be a run of the whole catalog
+# (`mutants_run` as pinned under `full_catalog`), and two more gates
+# apply to it:
+#
+#   * kill floor — at least `kill_floor` mutants killed, so the
+#     harness's bug-finding power never regresses;
+#   * designed survivors — the mutants DESIGN.md designs as legal,
+#     equivalent code (205, 206, 207, 403, 503) still survive; a kill
+#     there means the comparison grew unsound.
+#
+# Usage: ci/mutation_smoke_check.sh [--full] [BENCH_mutation.json]
 set -euo pipefail
 
+full=0
+if [ "${1:-}" = "--full" ]; then
+    full=1
+    shift
+fi
 bench="${1:-BENCH_mutation.json}"
 expect="$(dirname "$0")/mutation_expectations.json"
 
@@ -28,11 +43,11 @@ for f in "$bench" "$expect"; do
     fi
 done
 
-python3 - "$bench" "$expect" <<'PY'
+python3 - "$bench" "$expect" "$full" <<'PY'
 import json
 import sys
 
-bench_path, expect_path = sys.argv[1:3]
+bench_path, expect_path, full = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
 with open(expect_path) as f:
     expect = json.load(f)
 
@@ -63,6 +78,26 @@ for pin in expect["mutants"]:
         have = "killed" if got["killed"] else "SURVIVED — new blind spot"
         failures.append(f"mutant {pin['id']} ({pin['name']}): expected {want}, got {have}")
 
+if full:
+    gate = expect["full_catalog"]
+    if rec.get("mutants_run") != gate["mutants_run"]:
+        failures.append(
+            f"full catalog: expected a record of {gate['mutants_run']} mutants, "
+            f"got {rec.get('mutants_run')}"
+        )
+    killed = sum(1 for m in rec.get("mutants", []) if m["killed"])
+    if killed < gate["kill_floor"]:
+        failures.append(
+            f"kill rate regressed: {killed}/{rec.get('mutants_run')} killed, "
+            f"expected >= {gate['kill_floor']}"
+        )
+    for mid in gate["designed_survivors"]:
+        got = verdicts.get(mid)
+        if got is None:
+            failures.append(f"designed survivor {mid}: not in the record")
+        elif got["killed"]:
+            failures.append(f"designed survivor {mid} ({got['name']}): KILLED")
+
 if failures:
     print("mutation-smoke: outputs drifted from ci/mutation_expectations.json:")
     for line in failures:
@@ -71,8 +106,9 @@ if failures:
     sys.exit(1)
 
 killed = sum(1 for m in rec["mutants"] if m["killed"])
+gated = "kill floor and designed survivors hold, " if full else ""
 print(
-    "mutation-smoke: all pinned verdicts match "
+    f"mutation-smoke: {gated}all pinned verdicts match "
     f"({killed}/{rec['mutants_run']} killed, "
     f"baseline {rec['baseline']['differences']} differences, "
     f"wall {rec['wall_clock_ms']:.0f} ms)"

@@ -7,24 +7,20 @@
 # the generated-test count means a behaviour change slipped into a
 # perf-motivated PR — exactly what this check exists to catch.
 #
-# The CI workflow appends seven 1-thread records — all knobs on, heap
-# snapshots off, predecode off, family sharing off, interpreter
-# predecode off, meta tier off, solver trail off — each tagged with its
-# `knobs`. Records
+# The CI workflow appends three 1-thread records — all knobs on, family
+# sharing off, meta tier off — each tagged with its `knobs`. Records
 # written before the knobs tag existed are ignored whenever tagged
 # ones are present (their classification by side-effect counters was
-# ambiguous). Beyond the row totals, the check enforces the perf
-# invariants of the engine:
+# ambiguous). Older records that ran with a since-removed storage or
+# dispatch knob switched off (heap snapshots, predecode, interpreter
+# predecode, solver trail) describe a configuration that no longer
+# exists and are skipped; older records that merely carry those keys
+# switched on classify like current ones. Beyond the row totals, the
+# check enforces the perf invariants of the engine:
 #
 #   * knob identity — every record in the window, whatever its knobs,
-#     must match the expected rows: neither heap snapshots, predecoded
-#     fetch (machine- or interpreter-side), nor family-shared
-#     exploration may change anything observable;
-#   * materialize speedup — the snapshot-on materialize stage must be
-#     at least 1.3x faster than the snapshot-off one (engine v6's
-#     cheaper heap construction — template class tables, vector live
-#     sets — sped the rebuild-per-run path up too, shrinking the
-#     snapshot advantage from its original 2x);
+#     must match the expected rows: family-shared exploration may not
+#     change anything observable;
 #   * honest stage accounting — at 1 thread, the per-stage sum
 #     (including the `other` bucket) must land within 10% of the
 #     measured wall clock;
@@ -38,29 +34,24 @@
 #     explore stage must stay under `explore_budget_ms` (engine v8's
 #     predecoded walk plus batched probe solves, tightened by engine
 #     v10's trail-based solver);
-#   * solver-trail identity — the trail-based solver (engine v10) is a
-#     storage strategy, not a different solver: the trail-off rows must
-#     equal the all-on rows key for key, the all-on record must show
-#     trail activity, and the trail-off record none;
+#   * solver trail in use — the all-on record must show trail activity
+#     (the trail is the solver's only production path since engine v10);
 #   * explore sub-slices — the `walk_run` and `probe_solve` buckets
 #     re-attribute time already inside `explore` (they are excluded
 #     from the stage total), so their sum must never exceed the
 #     explore stage itself;
 #   * tier-5 additivity — the meta tier must be purely additive: the
 #     tier5-off record must match the committed `tier5_off` totals
-#     (the engine-v8 table), and the tier may not add differences;
-#   * mutation kill rate — when a full-catalog mutation record
-#     (`mutants_run == 44`) is available, its kill count must stay at
-#     or above the committed floor (35/44). CI's pinned smoke set runs
-#     8 mutants, so the gate notes a skip there and bites on
-#     bench-time full-matrix records.
+#     (the engine-v8 table), and the tier may not add differences.
 #
-# Usage: ci/perf_smoke_check.sh [BENCH_table2.json] [testgen-output.txt] [BENCH_mutation.json]
+# The mutation kill-rate gate lives in ci/mutation_smoke_check.sh,
+# which reads a full-catalog record the same CI run produced.
+#
+# Usage: ci/perf_smoke_check.sh [BENCH_table2.json] [testgen-output.txt]
 set -euo pipefail
 
 bench="${1:-BENCH_table2.json}"
 testgen_out="${2:-testgen.out}"
-mutation="${3:-BENCH_mutation.json}"
 expect="$(dirname "$0")/perf_expectations.json"
 
 for f in "$bench" "$testgen_out" "$expect"; do
@@ -70,13 +61,12 @@ for f in "$bench" "$testgen_out" "$expect"; do
     fi
 done
 
-python3 - "$bench" "$testgen_out" "$expect" "$mutation" <<'PY'
+python3 - "$bench" "$testgen_out" "$expect" <<'PY'
 import json
-import os
 import re
 import sys
 
-bench_path, testgen_path, expect_path, mutation_path = sys.argv[1:5]
+bench_path, testgen_path, expect_path = sys.argv[1:4]
 with open(expect_path) as f:
     expect = json.load(f)
 
@@ -96,42 +86,35 @@ records = [rec for rec in records if not rec.get("knobs", {}).get("corpus", Fals
 if not records:
     sys.exit(f"perf-smoke: {bench_path} holds only corpus-backed records")
 
+# Knobs that once chose a storage or dispatch strategy and are gone:
+# a record that ran with one of them off has no current counterpart.
+RETIRED = ("heap_snapshot", "predecode", "interp_predecode", "solver_trail")
+
 window = records[-10:]
 tagged = [rec for rec in window if "knobs" in rec]
 if tagged:
-    window = tagged
+    window = [rec for rec in tagged if all(rec["knobs"].get(k, True) for k in RETIRED)]
 
     def classify(rec):
         k = rec["knobs"]
-        if not k.get("heap_snapshot", True):
-            return "snapshot-off"
-        if not k.get("predecode", True):
-            return "predecode-off"
         if not k.get("family_share", True):
             return "family-off"
-        if not k.get("interp_predecode", True):
-            return "interp-predecode-off"
         if not k.get("tier5", True):
             return "tier5-off"
-        if not k.get("solver_trail", True):
-            return "solver-trail-off"
         return "all-on"
 else:
+    # Untagged records without seals ran with heap snapshots off.
+    window = [rec for rec in window if rec["metrics"].get("snapshot", {}).get("seals", 0) > 0]
 
     def classify(rec):
-        seals = rec["metrics"].get("snapshot", {}).get("seals", 0)
-        return "all-on" if seals > 0 else "snapshot-off"
+        return "all-on"
 
 by_kind = {}
 for rec in window:
     by_kind[classify(rec)] = rec  # later records win
 rec_on = by_kind.get("all-on")
-rec_off = by_kind.get("snapshot-off")
-rec_pre_off = by_kind.get("predecode-off")
 rec_fam_off = by_kind.get("family-off")
-rec_interp_off = by_kind.get("interp-predecode-off")
 rec_t5_off = by_kind.get("tier5-off")
-rec_trail_off = by_kind.get("solver-trail-off")
 
 with open(testgen_path) as f:
     testgen = f.read()
@@ -143,12 +126,8 @@ generated = int(m.group(1))
 drifted = []
 labelled = [
     ("all-on", rec_on),
-    ("snapshot-off", rec_off),
-    ("predecode-off", rec_pre_off),
     ("family-off", rec_fam_off),
-    ("interp-predecode-off", rec_interp_off),
     ("tier5-off", rec_t5_off),
-    ("solver-trail-off", rec_trail_off),
 ]
 for label, rec in labelled:
     if rec is None:
@@ -185,23 +164,6 @@ if layout:
                 f"perf-smoke: stage layout drifted ({label}): "
                 f"expected {sorted(layout)}, got {got}"
             )
-
-# Materialize-stage speedup: the snapshot replay path must cut the
-# stage at least 1.3x relative to rebuild-per-run. (Originally 2x;
-# engine v6 made fresh heap construction itself much cheaper, which
-# narrowed the gap by speeding up the snapshot-off baseline.)
-if rec_on is not None and rec_off is not None:
-    mat_on = rec_on["metrics"]["stages_ms"]["materialize"]
-    mat_off = rec_off["metrics"]["stages_ms"]["materialize"]
-    ratio = mat_off / mat_on if mat_on > 0 else float("inf")
-    if ratio < 1.3:
-        sys.exit(
-            "perf-smoke: materialize stage speedup regressed: "
-            f"snapshot-on {mat_on:.1f} ms vs snapshot-off {mat_off:.1f} ms "
-            f"({ratio:.2f}x, expected >= 1.3x)"
-        )
-else:
-    ratio = None
 
 # Honest stage accounting: at 1 thread the stage sum (with the
 # `other` bucket) must track the wall clock within 10%. The explore
@@ -247,45 +209,12 @@ if rec_on is not None and rec_fam_off is not None:
                 f"but {rec_fam_off['table2'][key]} with sharing off"
             )
 
-# Interpreter predecoding must be purely an optimization too: the
-# interp-predecode-off rows must equal the all-on rows key for key
-# (same rationale as the family check above — holds even while the
-# committed expectations are being retuned in the same PR).
-if rec_on is not None and rec_interp_off is not None:
-    for key in ("tested_instructions", "interpreter_paths", "curated_paths", "differences"):
-        if rec_interp_off["table2"][key] != rec_on["table2"][key]:
-            sys.exit(
-                "perf-smoke: interpreter predecoding changed campaign rows: "
-                f"{key} is {rec_on['table2'][key]} with predecoding on "
-                f"but {rec_interp_off['table2'][key]} with it off"
-            )
-
-# The trail-based solver (engine v10) must be purely an optimization:
-# an undo log instead of per-scope store clones cannot change what the
-# solver answers, so the trail-off rows must equal the all-on rows key
-# for key. The activity counters double-check that the comparison is
-# not vacuous — the all-on run really unwound scopes off a trail, the
-# trail-off run really cloned.
-if rec_on is not None and rec_trail_off is not None:
-    for key in ("tested_instructions", "interpreter_paths", "curated_paths", "differences"):
-        if rec_trail_off["table2"][key] != rec_on["table2"][key]:
-            sys.exit(
-                "perf-smoke: the trail-based solver changed campaign rows: "
-                f"{key} is {rec_on['table2'][key]} with the trail on "
-                f"but {rec_trail_off['table2'][key]} with it off"
-            )
+# The trail-based solver (engine v10) is the solver's only production
+# path: the all-on run must really have unwound scopes off a trail.
+if rec_on is not None:
     trail_on = rec_on["metrics"].get("trail")
-    trail_off = rec_trail_off["metrics"].get("trail")
     if trail_on is not None and trail_on.get("clones_avoided", 0) == 0:
-        sys.exit(
-            "perf-smoke: the all-on record shows no trail activity — "
-            "solver_trail appears to be silently disabled"
-        )
-    if trail_off is not None and trail_off.get("marks", 0) != 0:
-        sys.exit(
-            "perf-smoke: the solver-trail-off record took trail marks — "
-            "the IGJIT_SOLVER_TRAIL=0 leg is not actually in clone mode"
-        )
+        sys.exit("perf-smoke: the all-on record shows no trail activity")
 
 # Tier-5 additivity: the meta tier appends one row and changes nothing
 # else, so the rows shared by both configurations must agree — the
@@ -338,51 +267,13 @@ if (
             f"{explore_ms:.1f} ms > {explore_budget:.1f} ms at 1 thread"
         )
 
-# Mutation kill-rate trajectory: the harness's bug-finding power over
-# the full 44-mutant catalog must not regress below the committed
-# floor. Only full-catalog records are meaningful — CI's pinned smoke
-# set runs 8 mutants and has its own per-verdict check
-# (ci/mutation_smoke_check.sh) — so the gate bites on bench-time
-# full-matrix records and notes a skip otherwise.
-kill_floor = expect.get("mutation_kill_floor")
-full_catalog = expect.get("mutation_full_catalog", 44)
-if kill_floor is not None:
-    if not os.path.exists(mutation_path):
-        print(
-            f"perf-smoke: no {mutation_path} — mutation kill-rate gate skipped"
-        )
-    else:
-        with open(mutation_path) as f:
-            mrecords = [json.loads(line) for line in f if line.strip()]
-        full = [rec for rec in mrecords if rec.get("mutants_run") == full_catalog]
-        if not full:
-            print(
-                "perf-smoke: no full-catalog mutation record "
-                f"(mutants_run == {full_catalog}) in {mutation_path} — "
-                "kill-rate gate skipped (CI's pinned smoke set runs 8)"
-            )
-        else:
-            rec_m = full[-1]
-            killed = sum(1 for m in rec_m.get("mutants", []) if m.get("killed"))
-            if killed < kill_floor:
-                sys.exit(
-                    "perf-smoke: mutation kill rate regressed: "
-                    f"{killed}/{full_catalog} killed, expected >= {kill_floor}"
-                )
-            print(
-                f"perf-smoke: mutation kill rate {killed}/{full_catalog} "
-                f"(floor {kill_floor})"
-            )
-
-rec = (rec_on or rec_off or rec_pre_off or rec_fam_off or rec_interp_off or rec_t5_off
-       or rec_trail_off)
+rec = rec_on or rec_fam_off or rec_t5_off
 metrics = rec["metrics"]
 stages = metrics["stages_ms"]
-speedup = f", materialize speedup {ratio:.2f}x" if ratio is not None else ""
 print(
     "perf-smoke: totals match expectations "
     f"({rec['table2']['differences']} differences, {generated} generated tests); "
     f"wall {metrics['wall_clock_ms']:.0f} ms, explore {stages['explore']:.0f} ms, "
-    f"compile cache hit rate {metrics['compile_cache']['hit_rate']:.2f}{speedup}"
+    f"compile cache hit rate {metrics['compile_cache']['hit_rate']:.2f}"
 )
 PY

@@ -2,8 +2,9 @@
 //! v10): µs per sibling-hypothesis solve for the classic quadruple
 //! (`push`/`assert`/`solve`/`pop`), [`Session::solve_under`], and
 //! [`Session::solve_under_prepared`], each in trail mode (the
-//! `IGJIT_SOLVER_TRAIL` default — scopes on the undo log) and clone
-//! mode (each scope clones the interval store). The workload mirrors
+//! session default — scopes on the undo log) and clone mode (each
+//! scope clones the interval store; the reference the trail is tested
+//! against). The workload mirrors
 //! the kind-probe sweep: one path condition asserted once, ~a dozen
 //! sibling hypotheses solved against it per iteration.
 

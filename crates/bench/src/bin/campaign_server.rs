@@ -24,7 +24,9 @@
 //! The configuration is pinned to the paper's setup (both ISAs, kind
 //! probing on); only the worker-thread count is per-request. Mutant
 //! arming is refused — a fault-injected serve process would hand out
-//! poisoned verdicts long after the operator forgot the env var.
+//! poisoned verdicts long after the operator forgot the env var — and
+//! so is process sharding (`IGJIT_CAMPAIGN_JOBS` above 1): the server
+//! always sweeps in-process, so accepting the knob would ignore it.
 //!
 //! The socket mode accepts concurrent connections, but the campaign
 //! itself is single-occupancy: while one client's request stream holds
@@ -36,8 +38,30 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, TryLockError};
 
+use igjit::env::{EnvKnobs, KNOWN_VARS};
 use igjit::{aggregate_metrics, Campaign};
 use igjit_bench::paper_config;
+
+/// Knobs the server refuses to run under (see [`refusal`]); `--help`
+/// lists every other known knob.
+const REFUSED_VARS: [&str; 2] = ["IGJIT_MUTANT", "IGJIT_CAMPAIGN_JOBS"];
+
+/// Why the server must not start under `knobs`, if it must not.
+fn refusal(knobs: &EnvKnobs) -> Option<&'static str> {
+    if knobs.mutant.is_some() {
+        return Some(
+            "IGJIT_MUTANT must not be set for campaign_server — a \
+             fault-injected serve process would stream poisoned verdicts",
+        );
+    }
+    if knobs.campaign_jobs_or_default() != 1 {
+        return Some(
+            "IGJIT_CAMPAIGN_JOBS must be 1 (or unset) for campaign_server — \
+             the server sweeps in-process and cannot shard over worker processes",
+        );
+    }
+    None
+}
 
 struct Args {
     socket: Option<PathBuf>,
@@ -45,6 +69,8 @@ struct Args {
 }
 
 fn usage() -> ! {
+    let accepted: Vec<&str> =
+        KNOWN_VARS.iter().copied().filter(|v| !REFUSED_VARS.contains(v)).collect();
     eprintln!(
         "usage: campaign_server [--socket PATH] [--corpus PATH]\n\
          \n\
@@ -59,9 +85,9 @@ fn usage() -> ! {
          \x20 --corpus PATH  persistent corpus (also IGJIT_CORPUS)\n\
          \x20 --help         this text\n\
          \n\
-         environment: IGJIT_THREADS, IGJIT_CODE_CACHE, IGJIT_HEAP_SNAPSHOT,\n\
-         IGJIT_PREDECODE, IGJIT_INTERP_PREDECODE, IGJIT_HASH_CONS, IGJIT_FAMILY_SHARE,\n\
-         IGJIT_TIER5, IGJIT_NEGATE_THREADS, IGJIT_CORPUS (IGJIT_MUTANT is refused)"
+         environment: {}\n\
+         refused: IGJIT_MUTANT, and IGJIT_CAMPAIGN_JOBS other than 1",
+        accepted.join(", "),
     );
     std::process::exit(2);
 }
@@ -209,12 +235,8 @@ fn serve_stream(
 
 fn main() {
     let args = parse_args();
-    let knobs = igjit_bench::env_knobs();
-    if knobs.mutant.is_some() {
-        eprintln!(
-            "error: IGJIT_MUTANT must not be set for campaign_server — a \
-             fault-injected serve process would stream poisoned verdicts"
-        );
+    if let Some(why) = refusal(&igjit_bench::env_knobs()) {
+        eprintln!("error: {why}");
         std::process::exit(2);
     }
     let mut config = paper_config();
@@ -298,6 +320,29 @@ fn main() {
                 }
             });
             let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn refuses_mutants_and_process_sharding() {
+        assert_eq!(refusal(&EnvKnobs::default()), None);
+        let one_job = EnvKnobs { campaign_jobs: Some(1), ..EnvKnobs::default() };
+        assert_eq!(refusal(&one_job), None);
+        let sharded = EnvKnobs { campaign_jobs: Some(2), ..EnvKnobs::default() };
+        assert!(refusal(&sharded).is_some_and(|why| why.contains("IGJIT_CAMPAIGN_JOBS")));
+        let armed = EnvKnobs { mutant: Some(igjit::mutate::ops::FLIP_COMPARE_COND), ..EnvKnobs::default() };
+        assert!(refusal(&armed).is_some_and(|why| why.contains("IGJIT_MUTANT")));
+    }
+
+    #[test]
+    fn refused_vars_are_known_knobs() {
+        for v in REFUSED_VARS {
+            assert!(KNOWN_VARS.contains(&v), "{v}");
         }
     }
 }

@@ -9,8 +9,7 @@
 //! cargo run --release -p igjit-bench --bin explore_profile -- [rounds]
 //! ```
 //!
-//! Knobs: `IGJIT_HASH_CONS`, `IGJIT_FAMILY_SHARE`,
-//! `IGJIT_NEGATE_THREADS`, `IGJIT_SOLVER_TRAIL`.
+//! Knobs: `IGJIT_HASH_CONS`, `IGJIT_FAMILY_SHARE`.
 
 use std::time::Instant;
 
@@ -26,8 +25,6 @@ fn main() {
         .unwrap_or(20);
     let mut explorer = Explorer::new();
     explorer.hash_cons = knobs.hash_cons_enabled();
-    explorer.negation_threads = knobs.negate_threads_or_default();
-    explorer.solver_trail = knobs.solver_trail_enabled();
     let family_share = knobs.family_share_enabled();
     let mut total_paths = 0usize;
     let t0 = Instant::now();

@@ -640,19 +640,14 @@ fn main() {
         probes: true,
         threads: knobs.threads_or_default(),
         code_cache: knobs.code_cache_enabled(),
-        heap_snapshot: knobs.heap_snapshot_enabled(),
-        predecode: knobs.predecode_enabled(),
-        interp_predecode: knobs.interp_predecode_enabled(),
         hash_cons: knobs.hash_cons_enabled(),
         family_share: knobs.family_share_enabled(),
-        negate_threads: knobs.negate_threads_or_default(),
         // The mutation sweep arms a different mutant per campaign;
         // corpus persistence is deliberately not plumbed here (each
         // mutant would need its own file, and the kill verdicts must
         // never replay from a stale arming state).
         corpus: None,
         meta_tier: knobs.tier5_enabled(),
-        solver_trail: knobs.solver_trail_enabled(),
     };
     if let Some(baseline_path) = &args.worker_baseline {
         if let Err(e) = run_worker(baseline_path, &config) {

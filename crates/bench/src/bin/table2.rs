@@ -8,8 +8,7 @@
 //! rates) next to the textual report, and appends one machine-readable
 //! record per run to `BENCH_table2.json` (JSON Lines). `IGJIT_THREADS`
 //! overrides the worker count; `IGJIT_CODE_CACHE=0` disables the
-//! compiled-code cache; `IGJIT_HEAP_SNAPSHOT=0` disables base-image
-//! replay (re-materializing the heap for every engine run instead).
+//! compiled-code cache.
 //!
 //! Engine v7 adds two scale knobs:
 //!
@@ -67,10 +66,8 @@ fn usage() -> ! {
          \x20                to a cold run)\n\
          \x20 --help         this text\n\
          \n\
-         environment: IGJIT_THREADS, IGJIT_CODE_CACHE, IGJIT_HEAP_SNAPSHOT,\n\
-         IGJIT_PREDECODE, IGJIT_INTERP_PREDECODE, IGJIT_HASH_CONS, IGJIT_FAMILY_SHARE,\n\
-         IGJIT_TIER5, IGJIT_SOLVER_TRAIL, IGJIT_NEGATE_THREADS, IGJIT_MUTANT,\n\
-         IGJIT_CORPUS, IGJIT_CAMPAIGN_JOBS"
+         environment: {}",
+        igjit::env::KNOWN_VARS.join(", ")
     );
     std::process::exit(2);
 }
@@ -312,11 +309,10 @@ fn main() {
     let campaign = with_live_progress(campaign);
     eprintln!(
         "running the native-method and three bytecode campaigns{} \
-         (both ISAs, probing on, {} thread(s), code cache {}, heap snapshots {})…",
+         (both ISAs, probing on, {} thread(s), code cache {})…",
         if campaign.config().meta_tier { " plus the meta tier" } else { "" },
         campaign.config().threads,
         if campaign.config().code_cache { "on" } else { "off" },
-        if campaign.config().heap_snapshot { "on" } else { "off" },
     );
     let reports = campaign.run_all();
     println!(

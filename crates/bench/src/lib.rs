@@ -35,33 +35,10 @@ pub fn code_cache_enabled() -> bool {
     env_knobs().code_cache_enabled()
 }
 
-/// Whether heap snapshot/restore replay is enabled: the
-/// `IGJIT_HEAP_SNAPSHOT` environment variable (off, every run rebuilds
-/// the heap from the model), default on. Malformed values are fatal.
-pub fn heap_snapshot_enabled() -> bool {
-    env_knobs().heap_snapshot_enabled()
-}
-
-/// Whether predecoded batched replay is enabled: the `IGJIT_PREDECODE`
-/// environment variable (off, every step byte-decodes and every run
-/// reallocates the simulator), default on. Malformed values are fatal.
-pub fn predecode_enabled() -> bool {
-    env_knobs().predecode_enabled()
-}
-
-/// Whether the interpreter-side predecoded pipeline is enabled: the
-/// `IGJIT_INTERP_PREDECODE` environment variable (off, oracle and
-/// sequence runs dispatch per step — the engine-v7 behaviour), default
-/// on. Rows are identical either way. Malformed values are fatal.
-pub fn interp_predecode_enabled() -> bool {
-    env_knobs().interp_predecode_enabled()
-}
-
 /// Whether hash-consed constraint interning is enabled: the
 /// `IGJIT_HASH_CONS` environment variable (on, assertions are interned
-/// and path dedup keys on term ids), default off since engine v7 (the
-/// ablation in EXPERIMENTS.md measured the sweep faster without it).
-/// Malformed values are fatal.
+/// and path dedup keys on term ids), default on since engine v8 (the
+/// ablation in EXPERIMENTS.md). Malformed values are fatal.
 pub fn hash_cons_enabled() -> bool {
     env_knobs().hash_cons_enabled()
 }
@@ -79,21 +56,6 @@ pub fn family_share_enabled() -> bool {
 /// fatal.
 pub fn tier5_enabled() -> bool {
     env_knobs().tier5_enabled()
-}
-
-/// Whether solver sessions run hypothesis scopes on the undo trail
-/// instead of cloning the interval store per scope (engine v10): the
-/// `IGJIT_SOLVER_TRAIL` environment variable, default on. Rows are
-/// byte-identical either way. Malformed values are fatal.
-pub fn solver_trail_enabled() -> bool {
-    env_knobs().solver_trail_enabled()
-}
-
-/// Worker threads for intra-instruction path negation: the
-/// `IGJIT_NEGATE_THREADS` environment variable, default 1
-/// (sequential). Malformed values are fatal.
-pub fn negate_threads() -> usize {
-    env_knobs().negate_threads_or_default()
 }
 
 /// Path of the persistent campaign corpus: the `IGJIT_CORPUS`
@@ -131,9 +93,10 @@ pub fn arm_mutant_from_env() -> Option<igjit::MutantGuard> {
 
 /// The evaluation configuration used by every harness binary: both
 /// ISAs, probing enabled (the paper's §5.1 setup), worker threads from
-/// [`campaign_threads`], code cache from [`code_cache_enabled`], heap
-/// snapshots from [`heap_snapshot_enabled`], predecoded replay from
-/// [`predecode_enabled`], persistent corpus from [`corpus_path`].
+/// [`campaign_threads`], code cache from [`code_cache_enabled`],
+/// hash-consing from [`hash_cons_enabled`], family sharing from
+/// [`family_share_enabled`], the meta tier from [`tier5_enabled`] and
+/// the persistent corpus from [`corpus_path`].
 pub fn paper_campaign() -> Campaign {
     Campaign::new(paper_config())
 }
@@ -147,15 +110,10 @@ pub fn paper_config() -> CampaignConfig {
         probes: true,
         threads: campaign_threads(),
         code_cache: code_cache_enabled(),
-        heap_snapshot: heap_snapshot_enabled(),
-        predecode: predecode_enabled(),
-        interp_predecode: interp_predecode_enabled(),
         hash_cons: hash_cons_enabled(),
         family_share: family_share_enabled(),
-        negate_threads: negate_threads(),
         corpus: corpus_path(),
         meta_tier: tier5_enabled(),
-        solver_trail: solver_trail_enabled(),
     }
 }
 
@@ -208,9 +166,8 @@ pub fn append_bench_json(path: &str, reports: &[CampaignReport]) {
     let record = format!(
         concat!(
             "{{\"epoch_s\":{},",
-            "\"knobs\":{{\"code_cache\":{},\"heap_snapshot\":{},\"predecode\":{},",
-            "\"interp_predecode\":{},",
-            "\"hash_cons\":{},\"family_share\":{},\"tier5\":{},\"solver_trail\":{},",
+            "\"knobs\":{{\"code_cache\":{},",
+            "\"hash_cons\":{},\"family_share\":{},\"tier5\":{},",
             "\"corpus\":{}}},",
             "\"metrics\":{},",
             "\"table2\":{{\"tested_instructions\":{},\"interpreter_paths\":{},",
@@ -218,13 +175,9 @@ pub fn append_bench_json(path: &str, reports: &[CampaignReport]) {
         ),
         epoch,
         knobs.code_cache_enabled(),
-        knobs.heap_snapshot_enabled(),
-        knobs.predecode_enabled(),
-        knobs.interp_predecode_enabled(),
         knobs.hash_cons_enabled(),
         knobs.family_share_enabled(),
         knobs.tier5_enabled(),
-        knobs.solver_trail_enabled(),
         knobs.corpus.is_some(),
         total.to_json(),
         row.tested_instructions,

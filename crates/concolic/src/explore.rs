@@ -5,8 +5,6 @@
 //! stop at failing paths — every exit condition (§3.4) is a result the
 //! differential tester wants.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use igjit_bytecode::fxhash::FxHashSet;
@@ -203,7 +201,8 @@ pub struct ExplorationResult {
     /// Trail-mode counters of the same sessions (undo-log marks,
     /// clones avoided, pool traffic) — separate from
     /// [`ExplorationResult::solver`] because those are pinned identical
-    /// between trail and clone mode while these measure the mode.
+    /// to the solver's clone-mode reference while these measure the
+    /// trail itself.
     pub trail: TrailStats,
     /// Precomputed kind-probe models, aligned index-for-index with
     /// [`ExplorationResult::curated_paths`]. Empty unless
@@ -249,6 +248,8 @@ impl ExplorationResult {
     /// its own push/pop scope, and the cached model is cleared between
     /// paths so no path's reuse can see another's model — keeping the
     /// models per path exactly those of a fresh per-path session.
+    /// `solver_trail` selects the session's scope mechanism, as
+    /// [`Explorer::solver_trail`] does for the walk.
     pub fn attach_probe_models(&mut self, max_probes: usize, hash_cons: bool, solver_trail: bool) {
         let probe_t = Instant::now();
         let mut all = Vec::new();
@@ -287,22 +288,15 @@ pub struct Explorer {
     /// consed walk the faster one again); the bare `Explorer` default
     /// stays off so direct users get the dependency-free text path.
     pub hash_cons: bool,
-    /// Number of threads negating sibling subtrees of the root path
-    /// in parallel (`IGJIT_NEGATE_THREADS`; `1` = sequential).
-    /// Subtrees are explored speculatively and spliced back in the
-    /// sequential walk order, falling back to an in-place sequential
-    /// re-run whenever a speculation is not provably equivalent — so
-    /// results are deterministic and identical to a sequential walk.
-    pub negation_threads: usize,
+    /// Backtrack the walk's solver scopes on the undo trail (the
+    /// default, and the only mode the campaign runs). `false` selects
+    /// the solver's per-scope store clones — the reference
+    /// `tests/engine_v10_identity.rs` pins the campaign rows against.
+    /// No config field or environment variable reaches it.
+    pub solver_trail: bool,
     /// Record a [`ReplayStep`] per executed node (family-sharing
     /// support; costs one model clone per node, so off by default).
     pub record_replay: bool,
-    /// Run solver scopes on the session's undo trail instead of
-    /// cloning the interval store per hypothesis
-    /// (`IGJIT_SOLVER_TRAIL`, engine v10). Results are pinned
-    /// identical either way; this only trades clone traffic for trail
-    /// bookkeeping. Defaults on.
-    pub solver_trail: bool,
 }
 
 impl Default for Explorer {
@@ -318,9 +312,8 @@ impl Explorer {
             max_iterations: 192,
             max_path_len: 48,
             hash_cons: false,
-            negation_threads: 1,
-            record_replay: false,
             solver_trail: true,
+            record_replay: false,
         }
     }
 
@@ -370,16 +363,12 @@ impl Explorer {
         F: Fn(
                 &mut crate::trace::ConcolicContext<'_>,
                 &mut igjit_interp::Frame<SymOop>,
-            ) -> PathOutcome
-            + Sync,
+            ) -> PathOutcome,
     {
         let mut session = Session::new();
         session.set_hash_cons(self.hash_cons);
         session.set_trail(self.solver_trail);
-        // Interned path signatures are only comparable within one
-        // table; speculative subtree workers each build their own, so
-        // the parallel walk keys dedup on the textual signature.
-        let sig_table = (self.hash_cons && self.negation_threads <= 1).then(TermTable::new);
+        let sig_table = self.hash_cons.then(TermTable::new);
         let mut walk = NegationWalk {
             explorer: self,
             instr,
@@ -392,24 +381,18 @@ impl Explorer {
             curated_out: Vec::new(),
             iterations: 0,
             budget_noted: false,
-            extra_stats: SessionStats::default(),
-            extra_trail: TrailStats::default(),
             replay: Vec::new(),
             scratch: None,
             run_time: Duration::ZERO,
         };
         walk.visit(0);
-        let mut solver = walk.session.stats();
-        solver.merge(&walk.extra_stats);
-        let mut trail = walk.session.trail_stats();
-        trail.merge(&walk.extra_trail);
         ExplorationResult {
             paths: walk.paths,
             curated_out: walk.curated_out,
             state: walk.state,
             iterations: walk.iterations,
-            solver,
-            trail,
+            solver: walk.session.stats(),
+            trail: walk.session.trail_stats(),
             probe_models: Vec::new(),
             replay_log: self.record_replay.then_some(walk.replay),
             walk_run: walk.run_time,
@@ -442,11 +425,6 @@ struct NegationWalk<'e, F> {
     curated_out: Vec<CurationReason>,
     iterations: usize,
     budget_noted: bool,
-    /// Solver work done by spliced speculative subtrees (their fresh
-    /// sessions), folded into the final result's counters.
-    extra_stats: SessionStats,
-    /// Trail-mode counters of those same spliced subtree sessions.
-    extra_trail: TrailStats,
     /// Walk-order replay log (only fed when `record_replay` is on).
     replay: Vec<ReplayStep>,
     /// Scratch heap reused across visits (reset to fresh each time)
@@ -468,45 +446,9 @@ enum PathSig {
     Ids(Vec<u32>, u8),
 }
 
-/// One speculatively-explored sibling subtree, produced by a worker
-/// thread from a snapshot of the walk taken right after the parent
-/// node executed.
-struct Subtree {
-    state: AbstractState,
-    visited: FxHashSet<PathSig>,
-    paths: Vec<ExploredPath>,
-    curated_out: Vec<CurationReason>,
-    consumed: usize,
-    budget_noted: bool,
-    stats: SessionStats,
-    trail: TrailStats,
-    replay: Vec<ReplayStep>,
-    run_time: Duration,
-}
-
-/// The walk snapshot speculative workers start from, plus their
-/// results in canonical (descending suffix position) merge order.
-struct Speculation {
-    base_state: AbstractState,
-    base_visited: FxHashSet<PathSig>,
-    subtrees: Vec<Option<Subtree>>,
-}
-
-/// Sibling subtrees below which root-level speculation
-/// (`IGJIT_NEGATE_THREADS > 1`) is skipped: on shallow negation trees
-/// the thread spawn + snapshot overhead exceeds the parallel win (the
-/// v8 ablation measured ~33 ms vs ~27 ms sequential at 2 subtrees), so
-/// the walk only speculates when the root path offers at least this
-/// many independent suffix negations. The splice order is unchanged —
-/// below the threshold the walk simply takes the sequential branch it
-/// would fall back to anyway, so results are identical by
-/// construction.
-const SPECULATION_MIN_SUBTREES: usize = 4;
-
 impl<F> NegationWalk<'_, F>
 where
-    F: Fn(&mut crate::trace::ConcolicContext<'_>, &mut igjit_interp::Frame<SymOop>) -> PathOutcome
-        + Sync,
+    F: Fn(&mut crate::trace::ConcolicContext<'_>, &mut igjit_interp::Frame<SymOop>) -> PathOutcome,
 {
     /// Visits the node whose path condition is currently in scope in
     /// the session; `depth` is the number of prefix steps already
@@ -602,134 +544,12 @@ where
         for step in path.iter().take(len).skip(depth) {
             self.session.push_assert(step.clone());
         }
-        let mut speculation = (depth == 0
-            && self.explorer.negation_threads > 1
-            && len - depth >= SPECULATION_MIN_SUBTREES)
-            .then(|| self.speculate_subtrees(depth, &path));
-        for (k, i) in (depth..len).rev().enumerate() {
+        for i in (depth..len).rev() {
             self.session.pop(); // retract `path[i]`…
             self.session.push_assert(path[i].negated()); // …negate it…
-            let sub = speculation.as_mut().and_then(|sp| sp.subtrees[k].take());
-            let spliced = match (sub, &speculation) {
-                (Some(sub), Some(sp)) => self.try_splice(sub, sp),
-                _ => false,
-            };
-            if !spliced {
-                self.visit(i + 1); // …and explore that subtree.
-            }
+            self.visit(i + 1); // …and explore that subtree.
             self.session.pop();
         }
-    }
-
-    /// Explores every sibling subtree of the root node concurrently,
-    /// each worker starting from a snapshot of the walk and a fresh
-    /// solver session asserting the same in-scope constraint sequence
-    /// (which the session determinism contract makes equivalent).
-    /// Workers drain one shared atomic index — no locks anywhere —
-    /// and results land in per-subtree slots for the deterministic
-    /// in-order merge done by [`NegationWalk::try_splice`].
-    fn speculate_subtrees(&mut self, depth: usize, path: &[Constraint]) -> Speculation {
-        let len = path.len();
-        let base_state = self.state.clone();
-        let base_visited = self.visited.clone();
-        let base_iter = self.iterations;
-        let order: Vec<usize> = (depth..len).rev().collect();
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<Subtree>> = order.iter().map(|_| OnceLock::new()).collect();
-        let explorer = self.explorer;
-        let instr = self.instr;
-        let exec = self.exec;
-        std::thread::scope(|s| {
-            for _ in 0..explorer.negation_threads.min(order.len()) {
-                s.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = order.get(k) else { break };
-                    let mut session = Session::new();
-                    session.set_hash_cons(explorer.hash_cons);
-                    session.set_trail(explorer.solver_trail);
-                    let mut w = NegationWalk {
-                        explorer,
-                        instr,
-                        exec,
-                        state: base_state.clone(),
-                        session,
-                        sig_table: None,
-                        visited: base_visited.clone(),
-                        paths: Vec::new(),
-                        curated_out: Vec::new(),
-                        iterations: base_iter,
-                        budget_noted: false,
-                        extra_stats: SessionStats::default(),
-                        extra_trail: TrailStats::default(),
-                        replay: Vec::new(),
-                        scratch: None,
-                        run_time: Duration::ZERO,
-                    };
-                    w.session.sync_vars(w.state.specs());
-                    for c in &path[..i] {
-                        w.session.push_assert(c.clone());
-                    }
-                    w.session.push_assert(path[i].negated());
-                    w.visit(i + 1);
-                    let stats = w.session.stats();
-                    let mut trail = w.session.trail_stats();
-                    trail.merge(&w.extra_trail);
-                    let _ = slots[k].set(Subtree {
-                        state: w.state,
-                        visited: w.visited,
-                        paths: w.paths,
-                        curated_out: w.curated_out,
-                        consumed: w.iterations - base_iter,
-                        budget_noted: w.budget_noted,
-                        stats,
-                        trail,
-                        replay: w.replay,
-                        run_time: w.run_time,
-                    });
-                });
-            }
-        });
-        Speculation {
-            base_state,
-            base_visited,
-            subtrees: slots.into_iter().map(OnceLock::into_inner).collect(),
-        }
-    }
-
-    /// Adopts a speculative subtree's results if they are provably
-    /// what the sequential walk would have computed in place:
-    ///
-    /// * no earlier subtree changed the abstract state the worker
-    ///   snapshot started from (new variables would renumber),
-    /// * none of the worker's newly-visited path signatures collide
-    ///   with signatures an earlier subtree claimed (dedup races),
-    /// * the iteration budget provably never cuts in mid-subtree.
-    ///
-    /// Returns `false` (splice refused, caller re-runs sequentially)
-    /// otherwise.
-    fn try_splice(&mut self, sub: Subtree, sp: &Speculation) -> bool {
-        if sub.budget_noted
-            || self.iterations + sub.consumed > self.explorer.max_iterations
-            || self.state != sp.base_state
-        {
-            return false;
-        }
-        let fresh: Vec<&PathSig> = sub.visited.difference(&sp.base_visited).collect();
-        if fresh.iter().any(|sig| self.visited.contains(*sig)) {
-            return false;
-        }
-        self.state = sub.state;
-        for sig in sub.visited {
-            self.visited.insert(sig);
-        }
-        self.paths.extend(sub.paths);
-        self.curated_out.extend(sub.curated_out);
-        self.iterations += sub.consumed;
-        self.extra_stats.merge(&sub.stats);
-        self.extra_trail.merge(&sub.trail);
-        self.replay.extend(sub.replay);
-        self.run_time += sub.run_time;
-        true
     }
 }
 
@@ -1044,20 +864,6 @@ mod tests {
             assert_eq!(a.iterations, b.iterations, "{i:?}");
             assert_eq!(a.curated_out, b.curated_out, "{i:?}");
             assert_eq!(a.solver.nodes_visited, b.solver.nodes_visited, "{i:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_negation_matches_sequential() {
-        for i in [Instruction::Add, Instruction::ShortJumpTrue(4), Instruction::BitShift] {
-            let mut par = Explorer::new();
-            par.negation_threads = 4;
-            let a = par.explore(InstrUnderTest::Bytecode(i));
-            let b = explore_bytecode(i);
-            assert_eq!(paths_digest(&a), paths_digest(&b), "{i:?}");
-            assert_eq!(a.iterations, b.iterations, "{i:?}");
-            assert_eq!(a.curated_out, b.curated_out, "{i:?}");
-            assert_eq!(a.state, b.state, "{i:?}");
         }
     }
 

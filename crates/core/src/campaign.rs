@@ -56,27 +56,9 @@ pub struct CampaignConfig {
     pub threads: usize,
     /// Whether compiled test methods are cached and shared across
     /// models, probes, paths and workers. Off, every lookup compiles
-    /// fresh (and counts as a miss), which is the engine-v2 behaviour.
+    /// fresh (and counts as a miss), which is the engine-v2 behaviour,
+    /// and each run-once artifact is byte-fetched instead of predecoded.
     pub code_cache: bool,
-    /// Whether each (path, model) is materialized once into a sealed
-    /// base image replayed across the oracle and every ISA via
-    /// copy-on-write heap restore. Off, every run rebuilds the heap
-    /// from the model (the engine-v3 behaviour). Outcomes are
-    /// identical either way.
-    pub heap_snapshot: bool,
-    /// Whether compiled artifacts are predecoded once per code-cache
-    /// entry and replayed through a persistent simulator session
-    /// (engine v5). Off, every step byte-decodes and every run
-    /// reallocates the simulator (the engine-v4 behaviour). Outcomes
-    /// are identical either way.
-    pub predecode: bool,
-    /// Whether *interpreter* runs go through the predecoded pipeline
-    /// (engine v8): oracle runs execute the per-catalog-entry cached
-    /// [`igjit_interp::PredecodedProgram`] view, and sequence/method
-    /// runs resolve their step functions once up front instead of
-    /// dispatching per step. Off is the engine-v7 behaviour. Outcomes
-    /// are identical either way (`tests/engine_v8_identity.rs`).
-    pub interp_predecode: bool,
     /// Whether the explorer's solver sessions hash-cons constraints
     /// (one classification per distinct constraint, interned path
     /// dedup — engine v6). Outcomes are identical either way. Engine
@@ -91,10 +73,6 @@ pub struct CampaignConfig {
     /// each opcode's negation tree. Off is the engine-v5 behaviour.
     /// Outcomes are identical either way.
     pub family_share: bool,
-    /// Threads negating sibling subtrees of one instruction's path
-    /// tree in parallel (1 = sequential; speculative subtrees merge
-    /// deterministically, so outcomes are identical at any count).
-    pub negate_threads: usize,
     /// Persistent corpus file (engine v7). When set, the campaign
     /// loads exploration, compiled-code and outcome entries whose
     /// fingerprints match this build + configuration before running,
@@ -110,13 +88,6 @@ pub struct CampaignConfig {
     /// purely additive — the rows for tiers 1–4 are byte-identical
     /// whether it is on or off (`tests/engine_v9_meta_tier.rs`).
     pub meta_tier: bool,
-    /// Whether solver sessions run hypothesis scopes on an undo trail
-    /// instead of cloning the interval store per scope (engine v10,
-    /// `IGJIT_SOLVER_TRAIL`). Rows, models and solver counters are
-    /// byte-identical either way (`tests/engine_v10_identity.rs`);
-    /// this only trades per-solve clone traffic for O(narrowings)
-    /// trail bookkeeping.
-    pub solver_trail: bool,
 }
 
 impl Default for CampaignConfig {
@@ -126,15 +97,10 @@ impl Default for CampaignConfig {
             probes: true,
             threads: default_threads(),
             code_cache: true,
-            heap_snapshot: true,
-            predecode: true,
-            interp_predecode: true,
             hash_cons: true,
             family_share: true,
-            negate_threads: 1,
             corpus: None,
             meta_tier: true,
-            solver_trail: true,
         }
     }
 }
@@ -205,9 +171,7 @@ pub struct Metrics {
     pub solver: SessionStats,
     /// Trail-mode solver counters (engine v10), summed the same way:
     /// scope marks taken, trail ops unwound, store clones the trail
-    /// replaced, and model-pool traffic. All zero with
-    /// `solver_trail` off except the pool counters, which the clone
-    /// path also feeds.
+    /// replaced, and model-pool traffic.
     pub trail: TrailStats,
     /// Models whose materialization hit an unrealizable witness and
     /// were reported as test errors instead of compared.
@@ -684,8 +648,6 @@ impl Campaign {
         }
         let mut explorer = Explorer::new();
         explorer.hash_cons = self.config.hash_cons;
-        explorer.negation_threads = self.config.negate_threads;
-        explorer.solver_trail = self.config.solver_trail;
         let lookup = self.cache.get_or_explore_with(
             &explorer,
             instr,
@@ -705,10 +667,6 @@ impl Campaign {
             },
             &self.code_cache,
             &self.meta_cache,
-            self.config.heap_snapshot,
-            self.config.predecode,
-            self.config.interp_predecode,
-            self.config.solver_trail,
         );
         // Exploration solver work is charged once, to the run that
         // actually explored; a cache hit did no exploration solving.

@@ -16,14 +16,9 @@ use igjit_mutate::MutantId;
 pub const KNOWN_VARS: &[&str] = &[
     "IGJIT_THREADS",
     "IGJIT_CODE_CACHE",
-    "IGJIT_HEAP_SNAPSHOT",
-    "IGJIT_PREDECODE",
-    "IGJIT_INTERP_PREDECODE",
     "IGJIT_HASH_CONS",
     "IGJIT_FAMILY_SHARE",
     "IGJIT_TIER5",
-    "IGJIT_SOLVER_TRAIL",
-    "IGJIT_NEGATE_THREADS",
     "IGJIT_MUTANT",
     "IGJIT_CORPUS",
     "IGJIT_CAMPAIGN_JOBS",
@@ -37,18 +32,6 @@ pub struct EnvKnobs {
     pub threads: Option<usize>,
     /// `IGJIT_CODE_CACHE`: whether compiled test methods are cached.
     pub code_cache: Option<bool>,
-    /// `IGJIT_HEAP_SNAPSHOT`: whether materialized heaps are sealed
-    /// once and replayed by copy-on-write restore.
-    pub heap_snapshot: Option<bool>,
-    /// `IGJIT_PREDECODE`: whether compiled artifacts are predecoded
-    /// once per code-cache entry and replayed through a persistent
-    /// simulator session.
-    pub predecode: Option<bool>,
-    /// `IGJIT_INTERP_PREDECODE`: whether *interpreter* runs go through
-    /// the predecoded pipeline (engine v8) — per-catalog-entry cached
-    /// program views for oracle runs, step functions resolved once per
-    /// sequence/method instead of per step.
-    pub interp_predecode: Option<bool>,
     /// `IGJIT_HASH_CONS`: whether the explorer's solver sessions
     /// hash-cons constraints and key path dedup on interned ids.
     pub hash_cons: Option<bool>,
@@ -60,13 +43,6 @@ pub struct EnvKnobs {
     /// runs as a fifth Table 2 row. Tiers 1–4 rows are byte-identical
     /// either way.
     pub tier5: Option<bool>,
-    /// `IGJIT_SOLVER_TRAIL`: whether solver sessions backtrack scopes
-    /// by undo log (engine v10) instead of per-scope store clones.
-    /// Rows are identical either way.
-    pub solver_trail: Option<bool>,
-    /// `IGJIT_NEGATE_THREADS`: threads negating sibling subtrees of
-    /// one instruction's path tree in parallel (1 = sequential).
-    pub negate_threads: Option<usize>,
     /// `IGJIT_MUTANT`: a mutation operator to arm for the whole
     /// process (id or kebab-case name from the `igjit-mutate` catalog).
     pub mutant: Option<MutantId>,
@@ -89,21 +65,6 @@ impl EnvKnobs {
         self.code_cache.unwrap_or(true)
     }
 
-    /// Heap snapshots: the knob, default on.
-    pub fn heap_snapshot_enabled(&self) -> bool {
-        self.heap_snapshot.unwrap_or(true)
-    }
-
-    /// Predecoded replay: the knob, default on.
-    pub fn predecode_enabled(&self) -> bool {
-        self.predecode.unwrap_or(true)
-    }
-
-    /// Predecoded interpreter pipeline: the knob, default on.
-    pub fn interp_predecode_enabled(&self) -> bool {
-        self.interp_predecode.unwrap_or(true)
-    }
-
     /// Hash-consed constraints: the knob, default on again since
     /// engine v8 (the seeded-`FxHash` intern tables flipped the
     /// engine-v7 ablation; see EXPERIMENTS.md).
@@ -119,16 +80,6 @@ impl EnvKnobs {
     /// Meta-compiled tier: the knob, default on.
     pub fn tier5_enabled(&self) -> bool {
         self.tier5.unwrap_or(true)
-    }
-
-    /// Trail-based solver backtracking: the knob, default on.
-    pub fn solver_trail_enabled(&self) -> bool {
-        self.solver_trail.unwrap_or(true)
-    }
-
-    /// Parallel path negation: the knob, default 1 (sequential).
-    pub fn negate_threads_or_default(&self) -> usize {
-        self.negate_threads.unwrap_or(1)
     }
 
     /// Campaign worker processes: the knob, default 1 (in-process).
@@ -176,15 +127,6 @@ pub fn parse_vars(
             "IGJIT_CODE_CACHE" => {
                 knobs.code_cache = Some(parse_bool("IGJIT_CODE_CACHE", value)?)
             }
-            "IGJIT_HEAP_SNAPSHOT" => {
-                knobs.heap_snapshot = Some(parse_bool("IGJIT_HEAP_SNAPSHOT", value)?)
-            }
-            "IGJIT_PREDECODE" => {
-                knobs.predecode = Some(parse_bool("IGJIT_PREDECODE", value)?)
-            }
-            "IGJIT_INTERP_PREDECODE" => {
-                knobs.interp_predecode = Some(parse_bool("IGJIT_INTERP_PREDECODE", value)?)
-            }
             "IGJIT_HASH_CONS" => {
                 knobs.hash_cons = Some(parse_bool("IGJIT_HASH_CONS", value)?)
             }
@@ -192,19 +134,6 @@ pub fn parse_vars(
                 knobs.family_share = Some(parse_bool("IGJIT_FAMILY_SHARE", value)?)
             }
             "IGJIT_TIER5" => knobs.tier5 = Some(parse_bool("IGJIT_TIER5", value)?),
-            "IGJIT_SOLVER_TRAIL" => {
-                knobs.solver_trail = Some(parse_bool("IGJIT_SOLVER_TRAIL", value)?)
-            }
-            "IGJIT_NEGATE_THREADS" => {
-                knobs.negate_threads = Some(match value.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        return Err(format!(
-                            "IGJIT_NEGATE_THREADS={value:?} is not a positive integer"
-                        ))
-                    }
-                })
-            }
             "IGJIT_MUTANT" => {
                 knobs.mutant =
                     Some(igjit_mutate::parse(value).map_err(|e| format!("IGJIT_MUTANT: {e}"))?)
@@ -256,14 +185,9 @@ mod tests {
         let k = parse_vars(vars(&[("PATH", "/usr/bin"), ("HOME", "/root")])).unwrap();
         assert_eq!(k, EnvKnobs::default());
         assert!(k.code_cache_enabled());
-        assert!(k.heap_snapshot_enabled());
-        assert!(k.predecode_enabled());
-        assert!(k.interp_predecode_enabled());
         assert!(k.hash_cons_enabled(), "hash-consing is back on by default since engine v8");
         assert!(k.family_share_enabled());
         assert!(k.tier5_enabled(), "the meta tier is on by default (engine v9)");
-        assert!(k.solver_trail_enabled(), "the solver trail is on by default (engine v10)");
-        assert_eq!(k.negate_threads_or_default(), 1);
         assert_eq!(k.campaign_jobs_or_default(), 1);
         assert!(k.threads_or_default() >= 1);
         assert!(k.mutant.is_none());
@@ -275,33 +199,21 @@ mod tests {
         let k = parse_vars(vars(&[
             ("IGJIT_THREADS", "3"),
             ("IGJIT_CODE_CACHE", "off"),
-            ("IGJIT_HEAP_SNAPSHOT", "1"),
-            ("IGJIT_PREDECODE", "no"),
-            ("IGJIT_INTERP_PREDECODE", "off"),
             ("IGJIT_HASH_CONS", "off"),
             ("IGJIT_FAMILY_SHARE", "0"),
             ("IGJIT_TIER5", "off"),
-            ("IGJIT_SOLVER_TRAIL", "0"),
-            ("IGJIT_NEGATE_THREADS", "4"),
             ("IGJIT_MUTANT", "flip-compare-cond"),
             ("IGJIT_CORPUS", "bench/campaign.corpus"),
             ("IGJIT_CAMPAIGN_JOBS", "2"),
         ]))
         .unwrap();
+        assert_eq!(KNOWN_VARS.len(), 8, "one knob per line above");
         assert_eq!(k.threads, Some(3));
         assert_eq!(k.code_cache, Some(false));
-        assert_eq!(k.heap_snapshot, Some(true));
-        assert_eq!(k.predecode, Some(false));
-        assert!(!k.predecode_enabled());
-        assert_eq!(k.interp_predecode, Some(false));
-        assert!(!k.interp_predecode_enabled());
         assert!(!k.hash_cons_enabled());
         assert!(!k.family_share_enabled());
         assert_eq!(k.tier5, Some(false));
         assert!(!k.tier5_enabled());
-        assert_eq!(k.solver_trail, Some(false));
-        assert!(!k.solver_trail_enabled());
-        assert_eq!(k.negate_threads_or_default(), 4);
         assert_eq!(k.mutant, Some(igjit_mutate::ops::FLIP_COMPARE_COND));
         assert_eq!(k.corpus.as_deref(), Some(std::path::Path::new("bench/campaign.corpus")));
         assert_eq!(k.campaign_jobs_or_default(), 2);
@@ -315,18 +227,31 @@ mod tests {
     }
 
     #[test]
+    fn removed_storage_and_dispatch_knobs_are_unknown_variables() {
+        // These five once chose a storage or dispatch strategy; each
+        // layer now has one pipeline. Setting one must fail loudly, not
+        // be silently ignored by a script written for an older engine.
+        for name in [
+            "IGJIT_HEAP_SNAPSHOT",
+            "IGJIT_PREDECODE",
+            "IGJIT_INTERP_PREDECODE",
+            "IGJIT_SOLVER_TRAIL",
+            "IGJIT_NEGATE_THREADS",
+        ] {
+            assert!(!KNOWN_VARS.contains(&name), "{name}");
+            let err = parse_vars(vars(&[(name, "0")])).expect_err(name);
+            assert!(err.starts_with(&format!("unknown environment variable {name} ")), "{err}");
+        }
+    }
+
+    #[test]
     fn malformed_values_are_rejected() {
         assert!(parse_vars(vars(&[("IGJIT_THREADS", "0")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_THREADS", "many")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_THREADS", "")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_CODE_CACHE", "maybe")])).is_err());
-        assert!(parse_vars(vars(&[("IGJIT_HEAP_SNAPSHOT", "2")])).is_err());
-        assert!(parse_vars(vars(&[("IGJIT_PREDECODE", "sometimes")])).is_err());
-        assert!(parse_vars(vars(&[("IGJIT_INTERP_PREDECODE", "perhaps")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_HASH_CONS", "2")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_FAMILY_SHARE", "maybe")])).is_err());
-        assert!(parse_vars(vars(&[("IGJIT_NEGATE_THREADS", "0")])).is_err());
-        assert!(parse_vars(vars(&[("IGJIT_NEGATE_THREADS", "lots")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_MUTANT", "no-such-operator")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_MUTANT", "0")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_CORPUS", "")])).is_err());
@@ -340,16 +265,8 @@ mod tests {
         // knob: near-miss spellings ("yess"), stray numerals and empty
         // values are fatal, and the error names the offending variable
         // so the fix is obvious from the message alone.
-        const BOOL_KNOBS: &[&str] = &[
-            "IGJIT_CODE_CACHE",
-            "IGJIT_HEAP_SNAPSHOT",
-            "IGJIT_PREDECODE",
-            "IGJIT_INTERP_PREDECODE",
-            "IGJIT_HASH_CONS",
-            "IGJIT_FAMILY_SHARE",
-            "IGJIT_TIER5",
-            "IGJIT_SOLVER_TRAIL",
-        ];
+        const BOOL_KNOBS: &[&str] =
+            &["IGJIT_CODE_CACHE", "IGJIT_HASH_CONS", "IGJIT_FAMILY_SHARE", "IGJIT_TIER5"];
         for name in BOOL_KNOBS {
             assert!(KNOWN_VARS.contains(name), "{name} missing from KNOWN_VARS");
             for bad in ["yess", "2", "enabled", ""] {
@@ -361,13 +278,9 @@ mod tests {
                 let k = parse_vars(vars(&[(name, good)])).unwrap();
                 let parsed = match *name {
                     "IGJIT_CODE_CACHE" => k.code_cache,
-                    "IGJIT_HEAP_SNAPSHOT" => k.heap_snapshot,
-                    "IGJIT_PREDECODE" => k.predecode,
-                    "IGJIT_INTERP_PREDECODE" => k.interp_predecode,
                     "IGJIT_HASH_CONS" => k.hash_cons,
                     "IGJIT_FAMILY_SHARE" => k.family_share,
                     "IGJIT_TIER5" => k.tier5,
-                    "IGJIT_SOLVER_TRAIL" => k.solver_trail,
                     _ => unreachable!(),
                 };
                 assert_eq!(parsed, Some(want), "{name}={good}");
@@ -382,8 +295,8 @@ mod tests {
             assert_eq!(k.code_cache, Some(true), "{on}");
         }
         for off in ["0", "OFF", "false", "no"] {
-            let k = parse_vars(vars(&[("IGJIT_HEAP_SNAPSHOT", off)])).unwrap();
-            assert_eq!(k.heap_snapshot, Some(false), "{off}");
+            let k = parse_vars(vars(&[("IGJIT_TIER5", off)])).unwrap();
+            assert_eq!(k.tier5, Some(false), "{off}");
         }
     }
 

@@ -78,7 +78,7 @@ impl GeneratedTest {
             // evaluation + trampoline fallback); totality means this
             // never refuses.
             let (compiled, compiled_mem, _counts) = igjit_difftest::run_meta_for_instr(
-                self.isa, self.instruction, &frame, mem, true,
+                self.isa, self.instruction, &frame, mem,
             );
             return match compare_runs(&interp_exit, &interp_mem, &compiled, &compiled_mem, &var_oops)
             {

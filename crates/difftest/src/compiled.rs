@@ -7,10 +7,12 @@ use igjit_concolic::InstrUnderTest;
 use igjit_heap::{ObjectMemory, Oop};
 use igjit_interp::native_spec;
 use igjit_jit::{
-    compile_native_test, BytecodeTestInput, CodeCache, CompileError, CompileKeyRef, CompilerKind,
-    Convention, NativeTestInput, MUST_BE_BOOLEAN_SELECTOR, SPILL_BYTES,
+    compile_native_test, BytecodeTestInput, CacheEntry, CodeCache, CompileError, CompileKeyRef,
+    CompilerKind, Convention, NativeTestInput, MUST_BE_BOOLEAN_SELECTOR, SPILL_BYTES,
 };
-use igjit_machine::{Isa, Machine, MachineConfig, MachineOutcome, MachineSession};
+use igjit_machine::{
+    Isa, Machine, MachineConfig, MachineOutcome, MachineSession, PredecodedCode,
+};
 
 use crate::campaign::StageTimes;
 use crate::oracle::{EngineExit, SelectorId};
@@ -25,21 +27,41 @@ pub enum CompiledRun {
 }
 
 /// Shared execution context for a batch of compiled runs: the artifact
-/// cache, the predecode switch and the persistent simulator session
-/// every run replays through (engine v5's batched-replay state).
+/// cache and the persistent simulator session every run replays
+/// through (engine v5's batched-replay state).
 ///
 /// The campaign creates one per `test_instruction_with` call; the
 /// session is *reset* — registers zeroed, dirty stack extent cleared —
 /// between runs instead of reallocating the 64 KiB stack per model.
+///
+/// How a run fetches instructions follows from the cache: an enabled
+/// cache's entries are replayed many times, so each carries a
+/// predecoded view built once; a disabled cache hands out artifacts
+/// that run once, so the simulator byte-fetches them rather than
+/// predecoding code it will never see again.
 pub struct RunCtx<'c> {
     /// Compiled-artifact cache, shared across instructions and worker
     /// threads by the campaign driver.
     pub cache: &'c CodeCache,
-    /// Step predecoded instructions (built once per cache entry)
-    /// instead of byte-decoding on every step.
-    pub predecode: bool,
     /// The persistent machine session (registers + stack arena).
     pub session: &'c mut MachineSession,
+}
+
+impl RunCtx<'_> {
+    /// The predecoded view of `entry` when the cache keeps it for
+    /// replay, charging first-time construction to `decode`; `None`
+    /// (byte fetch) for the run-once artifacts of a disabled cache.
+    fn predecoded<'e>(
+        &self,
+        entry: &'e CacheEntry,
+        decode: &mut Duration,
+    ) -> Option<&'e PredecodedCode> {
+        if self.cache.is_enabled() {
+            entry.predecoded_timed(decode)
+        } else {
+            None
+        }
+    }
 }
 
 pub(crate) fn selector_of(id: u32) -> SelectorId {
@@ -83,7 +105,7 @@ pub fn run_compiled_sequence(
     let mut scratch = StageTimes::default();
     let cache = CodeCache::disabled();
     let mut session = MachineSession::new();
-    let mut ctx = RunCtx { cache: &cache, predecode: false, session: &mut session };
+    let mut ctx = RunCtx { cache: &cache, session: &mut session };
     let run = run_compiled_sequence_timed(
         kind, isa, instrs, frame, &mut mem, send_arity_hint, &mut ctx, &mut scratch,
     );
@@ -91,7 +113,7 @@ pub fn run_compiled_sequence(
 }
 
 /// [`run_compiled_sequence`] with the campaign's execution context
-/// (artifact cache, predecode switch, persistent session) and with the
+/// (artifact cache, persistent session) and with the
 /// per-stage wall clock split out into `times` for the observability
 /// layer. Mutates `mem` in place so the campaign can run on a sealed
 /// base image and roll it back between ISAs instead of rebuilding it.
@@ -147,8 +169,7 @@ pub fn run_compiled_sequence_timed(
     let frame_bytes = 4 * compiled.ntemps + SPILL_BYTES;
     let conv = Convention::for_isa(isa);
     let ntemps = compiled.ntemps;
-    let predecoded =
-        if ctx.predecode { entry.predecoded_timed(&mut times.decode) } else { None };
+    let predecoded = ctx.predecoded(&entry, &mut times.decode);
     let t_setup = Instant::now();
     let mut m = match predecoded {
         Some(pd) => Machine::with_predecoded(mem, pd, ctx.session),
@@ -218,7 +239,7 @@ pub fn run_compiled_native(
     let mut scratch = StageTimes::default();
     let cache = CodeCache::disabled();
     let mut session = MachineSession::new();
-    let mut ctx = RunCtx { cache: &cache, predecode: false, session: &mut session };
+    let mut ctx = RunCtx { cache: &cache, session: &mut session };
     let run =
         run_compiled_native_timed(isa, id, receiver, args, &mut mem, &mut ctx, &mut scratch);
     (run, mem)
@@ -270,8 +291,7 @@ pub fn run_compiled_native_timed(
     };
     let conv = Convention::for_isa(isa);
     let argc = native_spec(id).map(|s| s.argc as usize).unwrap_or(args.len());
-    let predecoded =
-        if ctx.predecode { entry.predecoded_timed(&mut times.decode) } else { None };
+    let predecoded = ctx.predecoded(&entry, &mut times.decode);
     let t_setup = Instant::now();
     let mut m = match predecoded {
         Some(pd) => Machine::with_predecoded(mem, pd, ctx.session),
@@ -320,7 +340,7 @@ pub fn run_compiled_for_instr(
     let mut scratch = StageTimes::default();
     let cache = CodeCache::disabled();
     let mut session = MachineSession::new();
-    let mut ctx = RunCtx { cache: &cache, predecode: false, session: &mut session };
+    let mut ctx = RunCtx { cache: &cache, session: &mut session };
     let run = run_compiled_for_instr_timed(
         target_kind, isa, instr, frame, &mut mem, &mut ctx, &mut scratch,
     );
@@ -427,18 +447,16 @@ mod tests {
     }
 
     #[test]
-    fn predecoded_run_matches_byte_decoded_run() {
-        // The same compiled artifact, replayed through one session with
-        // predecode off then on, must produce the identical exit.
-        let cache = CodeCache::new();
-        let mut session = MachineSession::new();
+    fn fetch_mode_follows_the_code_cache() {
+        // A disabled cache hands out run-once artifacts: no predecoded
+        // view, no decode time. An enabled cache builds one view per
+        // entry and replays it. Both fetch paths give the same exit.
         let mut frame = Frame::new(si(0), MethodInfo::empty());
         frame.stack = vec![si(20), si(22)];
-        let mut exits = Vec::new();
-        for predecode in [false, true] {
+        let mut session = MachineSession::new();
+        let mut run = |cache: &CodeCache, times: &mut StageTimes| {
             let mut mem = ObjectMemory::new();
-            let mut times = StageTimes::default();
-            let mut ctx = RunCtx { cache: &cache, predecode, session: &mut session };
+            let mut ctx = RunCtx { cache, session: &mut session };
             let run = run_compiled_sequence_timed(
                 CompilerKind::StackToRegister,
                 Isa::X86ish,
@@ -447,13 +465,42 @@ mod tests {
                 &mut mem,
                 1,
                 &mut ctx,
-                &mut times,
+                times,
             );
             match run {
-                CompiledRun::Ran(exit) => exits.push(format!("{exit:?}")),
+                CompiledRun::Ran(exit) => exit,
                 other => panic!("{other:?}"),
             }
-        }
-        assert_eq!(exits[0], exits[1]);
+        };
+
+        let disabled = CodeCache::disabled();
+        let mut byte_times = StageTimes::default();
+        let byte_exit = run(&disabled, &mut byte_times);
+        assert_eq!(byte_times.decode, Duration::ZERO, "run-once code is not predecoded");
+
+        let cache = CodeCache::new();
+        let (mut first, mut second) = (StageTimes::default(), StageTimes::default());
+        let first_exit = run(&cache, &mut first);
+        let second_exit = run(&cache, &mut second);
+        assert_eq!((cache.len(), cache.misses(), cache.hits()), (1, 1, 1));
+        assert_eq!(second.decode, Duration::ZERO, "the replay reuses the first run's view");
+        cache.for_each_entry(|_, entry| {
+            let mut again = Duration::ZERO;
+            assert!(entry.predecoded_timed(&mut again).is_some());
+            assert_eq!(again, Duration::ZERO, "the view was built by the first run");
+        });
+        assert_eq!(byte_exit, first_exit);
+        assert_eq!(first_exit, second_exit);
+
+        // The decision itself: a disabled cache's entry gets no view.
+        let mut session = MachineSession::new();
+        let ctx = RunCtx { cache: &disabled, session: &mut session };
+        let key = CompileKeyRef::Native { id: 1, isa: Isa::X86ish, nil: 0, true_obj: 0, false_obj: 0 };
+        let entry = disabled.get_or_compile_ref(key, || {
+            Ok(igjit_jit::CompiledCode { code: vec![0x0E], isa: Isa::X86ish, ntemps: 0 })
+        });
+        let mut decode = Duration::ZERO;
+        assert!(ctx.predecoded(&entry, &mut decode).is_none());
+        assert_eq!(decode, Duration::ZERO);
     }
 }

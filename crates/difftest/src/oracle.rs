@@ -114,8 +114,7 @@ pub struct OracleRun {
 
 /// The predecoded view of one catalog entry's single-instruction
 /// program, built once per distinct instruction and shared by every
-/// oracle run for the rest of the process (engine v8,
-/// `IGJIT_INTERP_PREDECODE`).
+/// oracle run for the rest of the process (engine v8).
 ///
 /// The instruction is *encoded and sequentially re-decoded* through
 /// [`PredecodedProgram`], so the oracle consumes exactly the artifact
@@ -136,28 +135,14 @@ fn unit_program(i: Instruction) -> &'static PredecodedProgram {
 }
 
 /// The oracle run: materializes `model` into a fresh heap and runs the
-/// interpreter concretely (through the predecoded pipeline; see
-/// [`run_oracle_with`] for the knob).
+/// interpreter concretely on it.
 pub fn run_oracle(state: &AbstractState, model: &Model, instr: InstrUnderTest) -> OracleRun {
-    run_oracle_with(state, model, instr, true)
-}
-
-/// [`run_oracle`] with explicit control over the interpreter pipeline:
-/// `interp_predecode` selects the per-catalog-entry
-/// [`PredecodedProgram`] path or the historical ad-hoc dispatch. Both
-/// produce byte-identical rows.
-pub fn run_oracle_with(
-    state: &AbstractState,
-    model: &Model,
-    instr: InstrUnderTest,
-    interp_predecode: bool,
-) -> OracleRun {
     let mut state = state.clone();
     let mut mem = ObjectMemory::new();
     let mat = materialize_frame(&mut state, model, &mut mem);
     let input_frame = concrete_frame(&mat.frame);
     let mut frame = input_frame.clone();
-    let exit = run_oracle_on_with(&mut mem, &mut frame, instr, interp_predecode);
+    let exit = run_oracle_on(&mut mem, &mut frame, instr);
     OracleRun { exit, mem, input_frame, var_oops: mat.var_oops, witness_errors: mat.witness_errors }
 }
 
@@ -173,8 +158,11 @@ pub fn run_oracle_on(
     run_oracle_on_with(mem, frame, instr, true)
 }
 
-/// [`run_oracle_on`] with the interpreter-pipeline knob; see
-/// [`run_oracle_with`].
+/// [`run_oracle_on`] with the bytecode's source chosen explicitly:
+/// `interp_predecode` executes the instruction decoded from its cached
+/// [`PredecodedProgram`] view, as every campaign run does; `false`
+/// executes the enum value as given. The two are identical for every
+/// catalog instruction.
 pub fn run_oracle_on_with(
     mem: &mut ObjectMemory,
     frame: &mut Frame<Oop>,

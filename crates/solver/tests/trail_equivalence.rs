@@ -1,8 +1,9 @@
 //! Engine v10 equivalence: trail mode (scopes on the undo log, the
-//! `IGJIT_SOLVER_TRAIL` default) must be observably identical to clone
-//! mode (each scope copies the interval store — the engine-v3 baseline
-//! semantics). Two sessions driven by the same random script must
-//! return the same SAT/UNSAT/error verdicts, the *same model* (the
+//! `Session` default and the campaign's only mode) must be observably
+//! identical to clone mode (each scope copies the interval store — the
+//! engine-v3 baseline semantics, kept as this test's reference). Two
+//! sessions driven by the same random script must return the same
+//! SAT/UNSAT/error verdicts, the *same model* (the
 //! campaign's reproducibility depends on exact models, not just
 //! satisfiability), and the same [`SessionStats`] — the trail is a
 //! storage strategy, not a different solver, so even the node and

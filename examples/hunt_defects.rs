@@ -16,8 +16,6 @@ fn main() {
         probes: true,
         threads: 4,
         code_cache: true,
-        heap_snapshot: true,
-        predecode: true,
         ..CampaignConfig::default()
     });
 

@@ -14,8 +14,6 @@ fn main() {
         probes: true,
         threads: 1,
         code_cache: true,
-        heap_snapshot: true,
-        predecode: true,
         ..CampaignConfig::default()
     });
 

@@ -2,9 +2,15 @@
 //! artifacts are byte-identical to fresh compiles, and whole campaign
 //! sweeps produce row-identical reports with the cache on and off.
 //! Only the metrics (hit/miss counters, compile invocations) may —
-//! and must — differ.
+//! and must — differ. Cache off, every artifact runs once and is
+//! byte-fetched; cache on, entries replay a predecoded view
+//! (`tests/predecode_identity.rs` pins the two fetch paths to each
+//! other on every tier).
 
-use igjit::{Campaign, CampaignConfig, CampaignReport, CompilerKind, Isa};
+mod common;
+
+use common::assert_row_identical;
+use igjit::{Campaign, CampaignConfig, CompilerKind, Isa};
 use igjit_heap::ObjectMemory;
 use igjit_jit::native::igjit_bytecode_native_id::NativeMethodIdLike;
 use igjit_jit::{
@@ -91,27 +97,6 @@ fn cached_bytecode_artifacts_are_byte_identical_to_fresh_compiles() {
     }
 }
 
-fn assert_row_identical(a: &CampaignReport, b: &CampaignReport) {
-    assert_eq!(a.row, b.row);
-    assert_eq!(a.causes(), b.causes());
-    assert_eq!(a.causes_by_category(), b.causes_by_category());
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.causes(), y.causes());
-        assert_eq!(x.paths_found, y.paths_found);
-        assert_eq!(x.curated, y.curated);
-        assert_eq!(x.witness_errors, y.witness_errors);
-        assert_eq!(x.verdicts.len(), y.verdicts.len());
-        for (va, vb) in x.verdicts.iter().zip(&y.verdicts) {
-            assert_eq!(va.interp_exit, vb.interp_exit);
-            assert_eq!(va.verdict.is_difference(), vb.verdict.is_difference());
-            assert_eq!(va.cause, vb.cause);
-            assert_eq!(va.found_by_probe, vb.found_by_probe);
-            assert_eq!(va.isa, vb.isa);
-        }
-    }
-}
-
 #[test]
 fn native_row_is_identical_with_code_cache_on_and_off() {
     // Mirrors `parallel_report_is_bit_identical_to_sequential`: the
@@ -123,14 +108,15 @@ fn native_row_is_identical_with_code_cache_on_and_off() {
             probes: true,
             threads: 1,
             code_cache,
-            heap_snapshot: true,
-            predecode: true,
             ..CampaignConfig::default()
         })
         .run_native_methods()
     };
     let (on, off) = (run(true), run(false));
     assert_row_identical(&on, &off);
+    // Without the cache every artifact runs once, so the simulator
+    // byte-fetches it instead of building a predecoded view.
+    assert_eq!(off.metrics.stages.decode, std::time::Duration::ZERO);
     // The metrics are the only allowed difference — and the cache must
     // actually bite: at least half the compile invocations disappear.
     assert_eq!(off.metrics.compile_hits, 0);
@@ -156,8 +142,6 @@ fn bytecode_row_is_identical_with_code_cache_on_and_off() {
             probes: false,
             threads: 1,
             code_cache,
-            heap_snapshot: true,
-            predecode: true,
             ..CampaignConfig::default()
         })
         .run_bytecodes(CompilerKind::StackToRegister)

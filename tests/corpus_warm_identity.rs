@@ -4,30 +4,12 @@
 //! silently degrades to a cold run — same rows, no panic. Only the
 //! metrics (corpus hit/miss counters) may, and must, differ.
 
+mod common;
+
+use common::assert_row_identical;
 use std::path::PathBuf;
 
-use igjit::{Campaign, CampaignConfig, CampaignReport, CompilerKind, Isa};
-
-fn assert_row_identical(a: &CampaignReport, b: &CampaignReport) {
-    assert_eq!(a.row, b.row);
-    assert_eq!(a.causes(), b.causes());
-    assert_eq!(a.causes_by_category(), b.causes_by_category());
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.causes(), y.causes());
-        assert_eq!(x.paths_found, y.paths_found);
-        assert_eq!(x.curated, y.curated);
-        assert_eq!(x.witness_errors, y.witness_errors);
-        assert_eq!(x.verdicts.len(), y.verdicts.len());
-        for (va, vb) in x.verdicts.iter().zip(&y.verdicts) {
-            assert_eq!(va.interp_exit, vb.interp_exit);
-            assert_eq!(va.verdict.is_difference(), vb.verdict.is_difference());
-            assert_eq!(va.cause, vb.cause);
-            assert_eq!(va.found_by_probe, vb.found_by_probe);
-            assert_eq!(va.isa, vb.isa);
-        }
-    }
-}
+use igjit::{Campaign, CampaignConfig, CompilerKind, Isa};
 
 /// A scratch corpus path that cleans up after itself.
 struct ScratchCorpus(PathBuf);

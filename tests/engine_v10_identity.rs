@@ -1,42 +1,24 @@
 //! Engine v10 invariants: the trail-based solver must be invisible in
-//! every campaign output. Table 2 rows, Table 3 cause sets and
-//! per-path verdicts are byte-identical with `solver_trail` on and off
-//! — on both rows, stacked under the other performance knobs, and
-//! under an armed mutant (replacing store clones with an undo log must
-//! not mask a planted defect by perturbing which models the probes
-//! hand the oracle).
+//! every campaign output. The campaign always backtracks on the undo
+//! trail; the solver's clone mode (per-scope store clones) stays as the
+//! reference. Table 2 rows, Table 3 cause sets and per-path verdicts
+//! are byte-identical whether the campaign's explorations were walked
+//! and probed on the trail or in clone mode — on both rows, under the
+//! other campaign knobs, and under an armed mutant (replacing store
+//! clones with an undo log must not mask a planted defect by
+//! perturbing which models the probes hand the oracle).
 
-use igjit::{Campaign, CampaignConfig, CampaignReport, CompilerKind, FaultInjector, Instruction,
+mod common;
+
+use common::{assert_row_identical, clone_mode_campaign, instructions};
+use igjit::{Campaign, CampaignConfig, CompilerKind, FaultInjector, InstrUnderTest, Instruction,
             Isa};
 
-fn assert_row_identical(a: &CampaignReport, b: &CampaignReport) {
-    assert_eq!(a.row, b.row);
-    assert_eq!(a.causes(), b.causes());
-    assert_eq!(a.causes_by_category(), b.causes_by_category());
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.causes(), y.causes());
-        assert_eq!(x.paths_found, y.paths_found);
-        assert_eq!(x.curated, y.curated);
-        assert_eq!(x.witness_errors, y.witness_errors);
-        assert_eq!(x.oracle_panics, y.oracle_panics);
-        assert_eq!(x.verdicts.len(), y.verdicts.len());
-        for (va, vb) in x.verdicts.iter().zip(&y.verdicts) {
-            assert_eq!(va.interp_exit, vb.interp_exit);
-            assert_eq!(va.verdict.is_difference(), vb.verdict.is_difference());
-            assert_eq!(va.cause, vb.cause);
-            assert_eq!(va.found_by_probe, vb.found_by_probe);
-            assert_eq!(va.isa, vb.isa);
-        }
-    }
-}
-
-fn bytecode_config(solver_trail: bool) -> CampaignConfig {
+fn bytecode_config() -> CampaignConfig {
     CampaignConfig {
         isas: vec![Isa::X86ish],
         probes: false,
         threads: 1,
-        solver_trail,
         ..CampaignConfig::default()
     }
 }
@@ -48,61 +30,47 @@ fn bytecode_row_is_identical_with_solver_trail_on_and_off() {
     // so a mis-unwound trail entry would leak one scope's narrowing
     // into the next sibling's model and change a verdict here.
     let _off = FaultInjector::pinned_off();
-    let run = |solver_trail: bool| {
-        Campaign::new(bytecode_config(solver_trail))
-            .run_bytecodes(CompilerKind::StackToRegister)
-    };
-    let (on, off) = (run(true), run(false));
+    let on = Campaign::new(bytecode_config()).run_bytecodes(CompilerKind::StackToRegister);
+    let off = clone_mode_campaign(bytecode_config(), &instructions(&on))
+        .run_bytecodes(CompilerKind::StackToRegister);
     assert_row_identical(&on, &off);
 }
 
 #[test]
 fn native_row_is_identical_with_solver_trail_on_and_off() {
-    // Native methods with the probe pass on: `solve_under_prepared` is
-    // the probe sweep's entry point and the trail's main customer —
-    // every probe hypothesis runs mark/propagate/search/unwind against
-    // the live store instead of a clone.
+    // Native methods with the probe pass on: the probe sweep runs
+    // every hypothesis as mark/propagate/search/unwind against the
+    // live store instead of a clone, so it is the trail's main
+    // customer.
     let _off = FaultInjector::pinned_off();
-    let run = |solver_trail: bool| {
-        Campaign::new(CampaignConfig {
-            isas: vec![Isa::X86ish],
-            probes: true,
-            threads: 1,
-            solver_trail,
-            ..CampaignConfig::default()
-        })
-        .run_native_methods()
+    let config = CampaignConfig {
+        isas: vec![Isa::X86ish],
+        probes: true,
+        threads: 1,
+        ..CampaignConfig::default()
     };
-    let (on, off) = (run(true), run(false));
+    let on = Campaign::new(config.clone()).run_native_methods();
+    let off = clone_mode_campaign(config, &instructions(&on)).run_native_methods();
     assert_row_identical(&on, &off);
 }
 
 #[test]
 fn bytecode_row_is_identical_with_trail_stacked_on_other_knobs() {
-    // The knob must compose: flipping solver_trail under the full
-    // performance stack (code cache, heap snapshots, machine-side and
-    // interpreter predecode, hash-consing, family sharing) changes
-    // nothing either. Family sharing matters here because replayed
-    // family members reuse a sibling's exploration — the trail must
-    // produce the same models for the family representative too.
+    // The trail must compose with the other knobs: with the code
+    // cache, hash-consing and family sharing all off, clone-mode
+    // explorations still give the same row. Hash-consing matters here
+    // because it changes how the walk's session normalizes what the
+    // trail then unwinds.
     let _off = FaultInjector::pinned_off();
-    let run = |solver_trail: bool| {
-        Campaign::new(CampaignConfig {
-            isas: vec![Isa::X86ish],
-            probes: false,
-            threads: 1,
-            code_cache: true,
-            heap_snapshot: true,
-            predecode: true,
-            family_share: true,
-            interp_predecode: true,
-            hash_cons: true,
-            solver_trail,
-            ..CampaignConfig::default()
-        })
-        .run_bytecodes(CompilerKind::StackToRegister)
+    let config = CampaignConfig {
+        code_cache: false,
+        hash_cons: false,
+        family_share: false,
+        ..bytecode_config()
     };
-    let (on, off) = (run(true), run(false));
+    let on = Campaign::new(config.clone()).run_bytecodes(CompilerKind::StackToRegister);
+    let off = clone_mode_campaign(config, &instructions(&on))
+        .run_bytecodes(CompilerKind::StackToRegister);
     assert_row_identical(&on, &off);
 }
 
@@ -113,12 +81,17 @@ fn armed_mutant_verdicts_do_not_depend_on_solver_trail() {
     // The trail only changes how scope state is restored, but a bug in
     // the undo log would change which witness inputs get generated —
     // and a lucky witness set could mask (or fabricate) a kill.
-    let run = |solver_trail: bool| {
+    let less_than = [InstrUnderTest::Bytecode(Instruction::LessThan)];
+    let (on, off) = {
         let _armed = FaultInjector::arm(igjit::mutate::ops::FLIP_COMPARE_COND).unwrap();
-        Campaign::new(bytecode_config(solver_trail))
-            .test_bytecode_instruction(Instruction::LessThan, CompilerKind::StackToRegister)
+        let run = |campaign: Campaign| {
+            campaign.test_bytecode_instruction(Instruction::LessThan, CompilerKind::StackToRegister)
+        };
+        (
+            run(Campaign::new(bytecode_config())),
+            run(clone_mode_campaign(bytecode_config(), &less_than)),
+        )
     };
-    let (on, off) = (run(true), run(false));
     assert_eq!(on.paths_found, off.paths_found);
     assert_eq!(on.curated, off.curated);
     assert_eq!(on.difference_count(), off.difference_count());
@@ -127,7 +100,7 @@ fn armed_mutant_verdicts_do_not_depend_on_solver_trail() {
     // the comparison above is not vacuous.
     let baseline = {
         let _off = FaultInjector::pinned_off();
-        Campaign::new(bytecode_config(true))
+        Campaign::new(bytecode_config())
             .test_bytecode_instruction(Instruction::LessThan, CompilerKind::StackToRegister)
     };
     assert_ne!(baseline.difference_count(), on.difference_count(),

@@ -4,28 +4,10 @@
 //! byte-identical with each knob on and off — only the metrics
 //! (family replay counters) may, and must, differ.
 
-use igjit::{Campaign, CampaignConfig, CampaignReport, CompilerKind, Isa};
+mod common;
 
-fn assert_row_identical(a: &CampaignReport, b: &CampaignReport) {
-    assert_eq!(a.row, b.row);
-    assert_eq!(a.causes(), b.causes());
-    assert_eq!(a.causes_by_category(), b.causes_by_category());
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.causes(), y.causes());
-        assert_eq!(x.paths_found, y.paths_found);
-        assert_eq!(x.curated, y.curated);
-        assert_eq!(x.witness_errors, y.witness_errors);
-        assert_eq!(x.verdicts.len(), y.verdicts.len());
-        for (va, vb) in x.verdicts.iter().zip(&y.verdicts) {
-            assert_eq!(va.interp_exit, vb.interp_exit);
-            assert_eq!(va.verdict.is_difference(), vb.verdict.is_difference());
-            assert_eq!(va.cause, vb.cause);
-            assert_eq!(va.found_by_probe, vb.found_by_probe);
-            assert_eq!(va.isa, vb.isa);
-        }
-    }
-}
+use common::assert_row_identical;
+use igjit::{Campaign, CampaignConfig, CampaignReport, CompilerKind, Isa};
 
 fn run_bytecode_row(config: CampaignConfig) -> CampaignReport {
     Campaign::new(config).run_bytecodes(CompilerKind::StackToRegister)
@@ -94,19 +76,4 @@ fn native_row_is_identical_with_family_sharing_on_and_off() {
     assert_row_identical(&on, &off);
     assert_eq!(on.metrics.family_hits, 0);
     assert_eq!(on.metrics.family_fallbacks, 0);
-}
-
-#[test]
-fn bytecode_row_is_identical_with_parallel_negation() {
-    let run = |negate_threads: usize| {
-        run_bytecode_row(CampaignConfig {
-            isas: vec![Isa::X86ish],
-            probes: false,
-            threads: 1,
-            negate_threads,
-            ..CampaignConfig::default()
-        })
-    };
-    let (par, seq) = (run(4), run(1));
-    assert_row_identical(&par, &seq);
 }

@@ -6,29 +6,10 @@
 //! partial evaluator: most of the catalog meta-compiles, the rest
 //! trampolines (the tier is total either way).
 
-use igjit::{instruction_catalog, Campaign, CampaignConfig, CampaignReport, FaultInjector, Isa};
+mod common;
 
-fn assert_row_identical(a: &CampaignReport, b: &CampaignReport) {
-    assert_eq!(a.row, b.row);
-    assert_eq!(a.causes(), b.causes());
-    assert_eq!(a.causes_by_category(), b.causes_by_category());
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.causes(), y.causes());
-        assert_eq!(x.paths_found, y.paths_found);
-        assert_eq!(x.curated, y.curated);
-        assert_eq!(x.witness_errors, y.witness_errors);
-        assert_eq!(x.oracle_panics, y.oracle_panics);
-        assert_eq!(x.verdicts.len(), y.verdicts.len());
-        for (va, vb) in x.verdicts.iter().zip(&y.verdicts) {
-            assert_eq!(va.interp_exit, vb.interp_exit);
-            assert_eq!(va.verdict.is_difference(), vb.verdict.is_difference());
-            assert_eq!(va.cause, vb.cause);
-            assert_eq!(va.found_by_probe, vb.found_by_probe);
-            assert_eq!(va.isa, vb.isa);
-        }
-    }
-}
+use common::assert_row_identical;
+use igjit::{instruction_catalog, Campaign, CampaignConfig, FaultInjector, Isa};
 
 fn config(meta_tier: bool, threads: usize) -> CampaignConfig {
     CampaignConfig {

@@ -1,11 +1,16 @@
 //! The heap snapshot/restore replay must be invisible in every output:
 //! restoring a sealed base image yields exactly the heap and frame a
 //! fresh materialization would build, across arbitrary mutate/restore
-//! interleavings, and whole campaign sweeps produce row-identical
-//! reports with snapshots on and off. Only the metrics (seal/restore
-//! counters, dirty-word totals) may — and must — differ.
+//! interleavings — and whole campaign sweeps, which replay every
+//! (path, model) this way, produce row-identical reports to the
+//! reference pipeline that materializes every run into a fresh heap.
+//! Only the metrics (seal/restore counters, dirty-word totals) may —
+//! and must — differ.
 
-use igjit::{Campaign, CampaignConfig, CampaignReport, CompilerKind, Instruction, Isa};
+mod common;
+
+use common::{assert_row_identical, reference_report};
+use igjit::{Campaign, CampaignConfig, CompilerKind, FaultInjector, Instruction, Isa};
 use igjit_concolic::{materialize_base, probe_models, Explorer, InstrUnderTest};
 use igjit_difftest::{concrete_frame, run_oracle_on};
 use igjit_heap::Oop;
@@ -95,74 +100,38 @@ proptest! {
     }
 }
 
-fn assert_row_identical(a: &CampaignReport, b: &CampaignReport) {
-    assert_eq!(a.row, b.row);
-    assert_eq!(a.causes(), b.causes());
-    assert_eq!(a.causes_by_category(), b.causes_by_category());
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.causes(), y.causes());
-        assert_eq!(x.paths_found, y.paths_found);
-        assert_eq!(x.curated, y.curated);
-        assert_eq!(x.witness_errors, y.witness_errors);
-        assert_eq!(x.oracle_panics, y.oracle_panics);
-        assert_eq!(x.verdicts.len(), y.verdicts.len());
-        for (va, vb) in x.verdicts.iter().zip(&y.verdicts) {
-            assert_eq!(va.interp_exit, vb.interp_exit);
-            assert_eq!(va.verdict.is_difference(), vb.verdict.is_difference());
-            assert_eq!(va.cause, vb.cause);
-            assert_eq!(va.found_by_probe, vb.found_by_probe);
-            assert_eq!(va.isa, vb.isa);
-        }
-    }
-}
-
 #[test]
 fn native_row_is_identical_with_heap_snapshot_on_and_off() {
     // The Table 2 native-method row (and its Table 3 cause sets) must
     // not depend on whether the base image is replayed or rebuilt.
-    let run = |heap_snapshot: bool| {
-        Campaign::new(CampaignConfig {
-            isas: BOTH.to_vec(),
-            probes: true,
-            threads: 1,
-            code_cache: true,
-            heap_snapshot,
-            predecode: true,
-            ..CampaignConfig::default()
-        })
-        .run_native_methods()
-    };
-    let (on, off) = (run(true), run(false));
+    let _off = FaultInjector::pinned_off();
+    let campaign = Campaign::new(CampaignConfig {
+        isas: BOTH.to_vec(),
+        probes: true,
+        threads: 1,
+        ..CampaignConfig::default()
+    });
+    let on = campaign.run_native_methods();
+    let off = reference_report(&campaign, &on, None, true);
     assert_row_identical(&on, &off);
-    // The metrics are the only allowed difference — and the snapshot
-    // layer must actually bite: one seal per (path, model), at least
-    // one restore per extra ISA.
-    assert_eq!(off.metrics.snapshot.seals, 0);
-    assert_eq!(off.metrics.snapshot.restores, 0);
+    // The snapshot layer must actually bite: one seal per testable
+    // model, at least one restore per extra ISA.
     assert!(on.metrics.snapshot.seals > 0);
     assert!(on.metrics.snapshot.restores > 0);
 }
 
 #[test]
 fn bytecode_row_is_identical_with_heap_snapshot_on_and_off() {
-    let run = |heap_snapshot: bool| {
-        Campaign::new(CampaignConfig {
-            isas: vec![Isa::X86ish],
-            probes: false,
-            threads: 1,
-            code_cache: true,
-            heap_snapshot,
-            predecode: true,
-            ..CampaignConfig::default()
-        })
-        .run_bytecodes(CompilerKind::StackToRegister)
-    };
-    let (on, off) = (run(true), run(false));
+    let _off = FaultInjector::pinned_off();
+    let kind = CompilerKind::StackToRegister;
+    let campaign = Campaign::new(CampaignConfig {
+        isas: vec![Isa::X86ish],
+        probes: false,
+        threads: 1,
+        ..CampaignConfig::default()
+    });
+    let on = campaign.run_bytecodes(kind);
+    let off = reference_report(&campaign, &on, Some(kind), true);
     assert_row_identical(&on, &off);
     assert!(on.metrics.snapshot.seals > 0);
-    // A single-ISA sweep never restores between ISAs, only between
-    // testable models sharing a base — the oracle runs on a clone, so
-    // restores stay at zero while seals count every materialization.
-    assert_eq!(off.metrics.snapshot.seals, 0);
 }
